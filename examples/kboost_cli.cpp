@@ -9,8 +9,6 @@
 //                       [--codec=nop|varint] [--load-pool=pool.bin]
 //                       [--mmap-pool]
 //   kboost_cli evaluate --graph=graph.txt --seeds=0,5,9 --boost=1,2,3
-//   kboost_cli serve-bench --graph=graph.txt --load-pool=pool.bin
-//                          [--mmap-pool] [--clients=1,2,4] [--queries=32]
 //   kboost_cli serve    --graph=graph.txt --pool=digg=pool.bin [--listen=7447]
 //   kboost_cli query    --connect=127.0.0.1:7447 --pool=digg --k=10
 //
@@ -23,7 +21,6 @@
 // file instead of copying it into fresh arenas.
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -32,14 +29,11 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/boost_session.h"
 #include "src/net/daemon.h"
-#include "src/serve/boost_service.h"
 #include "src/util/parse.h"
-#include "src/util/timer.h"
 #include "src/expt/datasets.h"
 #include "src/expt/seed_selection.h"
 #include "src/graph/graph_io.h"
@@ -217,19 +211,7 @@ int Usage() {
       "        [--mode=auto|full|lb] [--threads=N] [--deadline-ms=N]\n"
       "        [--timeout-ms=N]\n"
       "      round-trip one query against a running kboostd and print the\n"
-      "      typed outcome (exit 0 only when the remote solve succeeded)\n"
-      "  serve-bench --graph=PATH (--load-pool=PATH [--mmap-pool] |\n"
-      "        --seeds=a,b,c --k=N [--lb] [--epsilon=F] [--seed=N]\n"
-      "        [--shards=S]) [--clients=1,2,4] [--queries=32] [--threads=N]\n"
-      "        [--deadline-ms=N] [--queue-cap=N] [--degrade=F]\n"
-      "      register the pool in a BoostService and measure concurrent\n"
-      "      query throughput: each client count issues the same mixed\n"
-      "      (k, mode) query stream from that many threads and every\n"
-      "      answer is checked bit-identical against the serial run;\n"
-      "      --deadline-ms sets the service default deadline, --queue-cap\n"
-      "      caps in-flight solves at N (plus N queued, excess shed typed)\n"
-      "      and --degrade=F downgrades kAuto answers to the LB order past\n"
-      "      that load fraction — overload outcomes are reported per run\n");
+      "      typed outcome (exit 0 only when the remote solve succeeded)\n");
   return 2;
 }
 
@@ -483,335 +465,6 @@ int CmdEvaluate(int argc, char** argv) {
   return 0;
 }
 
-/// Bit-identity predicate for the serve-bench divergence check: the sets and
-/// estimates a query answer is made of, compared exactly (the concurrency
-/// guarantee is bit-identical results, not approximately-equal ones).
-bool SameAnswer(const BoostResult& a, const BoostResult& b) {
-  return a.best_set == b.best_set && a.best_estimate == b.best_estimate &&
-         a.lb_set == b.lb_set && a.lb_mu_hat == b.lb_mu_hat &&
-         a.delta_set == b.delta_set && a.delta_delta_hat == b.delta_delta_hat;
-}
-
-int CmdServeBench(int argc, char** argv) {
-  if (!ValidateFlags(argc, argv,
-                     {"--graph", "--load-pool", "--seeds", "--k", "--epsilon",
-                      "--seed", "--clients", "--queries", "--threads",
-                      "--shards", "--deadline-ms", "--queue-cap",
-                      "--degrade"},
-                     {"--lb", "--mmap-pool"})) {
-    return 2;
-  }
-  const char* path = FlagValue(argc, argv, "--graph");
-  const char* load_pool = FlagValue(argc, argv, "--load-pool");
-  const char* k_s = FlagValue(argc, argv, "--k");
-  const bool mmap_pool = HasFlag(argc, argv, "--mmap-pool");
-  if (path == nullptr) return Usage();
-  if (load_pool == nullptr && k_s == nullptr) return Usage();
-  if (mmap_pool && load_pool == nullptr) {
-    std::fprintf(stderr, "error: --mmap-pool only applies to --load-pool\n");
-    return 2;
-  }
-  const bool has_threads = FlagValue(argc, argv, "--threads") != nullptr;
-  int threads = 0;
-  if (!ParseThreadsFlag(argc, argv, &threads)) return 2;
-  const bool has_shards = FlagValue(argc, argv, "--shards") != nullptr;
-  int shards = 0;
-  if (!ParseIntFlag(argc, argv, "--shards", &shards)) return 2;
-  if (load_pool != nullptr && has_shards) {
-    std::fprintf(stderr,
-                 "error: --shards comes from the pool snapshot; it cannot be "
-                 "combined with --load-pool\n");
-    return 2;
-  }
-  std::vector<size_t> clients;
-  if (!ParseUintList(FlagValue(argc, argv, "--clients"), "--clients",
-                     &clients)) {
-    return 2;
-  }
-  if (clients.empty()) clients = {1, 2, 4};
-  for (size_t c : clients) {
-    if (c < 1 || c > 64) {
-      std::fprintf(stderr, "error: --clients entries must be in [1, 64]\n");
-      return 2;
-    }
-  }
-  uint64_t num_queries = 32;
-  if (!ParseUint64Flag(argc, argv, "--queries", &num_queries)) return 2;
-  if (num_queries < 1 || num_queries > 1'000'000) {
-    std::fprintf(stderr,
-                 "error: --queries must be an integer in [1, 1000000], "
-                 "got %llu\n",
-                 static_cast<unsigned long long>(num_queries));
-    return 2;
-  }
-  // Overload knobs, all off by default: --deadline-ms is the service
-  // default deadline, --queue-cap bounds in-flight solves (with an
-  // equal-sized waiting room), --degrade is the load factor past which
-  // kAuto answers downgrade to the LB cached order. Range validation for
-  // --degrade is owned by BoostService::Create (the one place the service
-  // agrees on it).
-  uint64_t deadline_ms = 0;
-  if (!ParseUint64Flag(argc, argv, "--deadline-ms", &deadline_ms)) return 2;
-  uint64_t queue_cap = 0;
-  if (!ParseUint64Flag(argc, argv, "--queue-cap", &queue_cap)) return 2;
-  double degrade = 0.0;
-  if (const char* degrade_s = FlagValue(argc, argv, "--degrade");
-      degrade_s != nullptr) {
-    char* end = nullptr;
-    degrade = std::strtod(degrade_s, &end);
-    if (end == degrade_s || *end != '\0') {
-      std::fprintf(stderr, "error: --degrade must be a number, got '%s'\n",
-                   degrade_s);
-      return 2;
-    }
-  }
-
-  StatusOr<DirectedGraph> g = LoadEdgeList(path);
-  if (!g.ok()) {
-    std::fprintf(stderr, "error: %s\n", g.status().ToString().c_str());
-    return 1;
-  }
-
-  std::unique_ptr<BoostSession> session;
-  if (load_pool != nullptr) {
-    PoolLoadOptions load_options;
-    load_options.use_mmap = mmap_pool;
-    StatusOr<std::unique_ptr<BoostSession>> loaded =
-        LoadPoolSnapshot(g.value(), load_pool, load_options);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    session = std::move(loaded).value();
-    if (has_threads) {
-      if (Status s = session->set_num_threads(threads); !s.ok()) {
-        std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-        return 2;
-      }
-    }
-  } else {
-    std::vector<NodeId> seeds;
-    if (!ParseUintList(FlagValue(argc, argv, "--seeds"), "--seeds", &seeds)) {
-      return 2;
-    }
-    if (seeds.empty()) return Usage();
-    BoostOptions options;
-    uint64_t k_flag = 0;
-    if (!ParseUint64Flag(argc, argv, "--k", &k_flag)) return 2;
-    options.k = k_flag;
-    const char* eps_s = FlagValue(argc, argv, "--epsilon");
-    if (eps_s != nullptr) options.epsilon = std::atof(eps_s);
-    if (!ParseUint64Flag(argc, argv, "--seed", &options.seed)) return 2;
-    if (has_threads) options.num_threads = threads;
-    if (has_shards) options.num_shards = shards;
-    StatusOr<std::unique_ptr<BoostSession>> created = BoostSession::Create(
-        g.value(), std::move(seeds), options, HasFlag(argc, argv, "--lb"));
-    if (!created.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   created.status().ToString().c_str());
-      return 2;
-    }
-    session = std::move(created).value();
-  }
-
-  const bool lb = session->lb_only();
-  BoostService::Options service_options;
-  service_options.default_deadline_ms = deadline_ms;
-  service_options.max_in_flight = queue_cap;
-  service_options.max_queued = queue_cap;
-  service_options.degrade_load_factor = degrade;
-  StatusOr<std::unique_ptr<BoostService>> service_or =
-      BoostService::Create(g.value(), service_options);
-  if (!service_or.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 service_or.status().ToString().c_str());
-    return 1;
-  }
-  BoostService& service = *service_or.value();
-  std::printf("preparing pool (budget %zu, %s mode)...\n", session->budget(),
-              lb ? "lb" : "full");
-  WallTimer prepare_timer;
-  const size_t budget = session->budget();
-  if (Status s = service.AddPool("pool", std::move(session)); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("prepared in %.3fs, theta=%zu shards=%zu\n",
-              prepare_timer.Seconds(),
-              service.GetPool("pool")->engine().collection().num_samples(),
-              service.GetPool("pool")->engine().collection().num_shards());
-
-  // The mixed query stream: budgets sweep the pool range, modes alternate
-  // native/LB on full pools. Each request runs its selection single-worker
-  // so the client count is the only concurrency variable.
-  std::vector<BoostRequest> requests(num_queries);
-  const size_t k_steps[] = {1, budget / 4, budget / 2, (3 * budget) / 4,
-                            budget};
-  for (size_t i = 0; i < num_queries; ++i) {
-    requests[i].pool = "pool";
-    requests[i].k = std::max<size_t>(1, k_steps[i % 5]);
-    requests[i].mode =
-        (!lb && i % 2 == 1) ? SolveMode::kLbOnly : SolveMode::kAuto;
-    requests[i].num_threads = 1;
-  }
-
-  // Serial reference pass: every concurrent answer must match these bits.
-  // The reference queries pin explicit modes (always honored, pressure or
-  // not) and a deliberately unreachable deadline, so the reference stays the
-  // un-degraded truth even when overload knobs are set; degraded concurrent
-  // answers are checked against the LB reference instead.
-  std::vector<BoostResult> reference(num_queries);
-  std::vector<BoostResult> lb_reference(num_queries);
-  WallTimer serial_timer;
-  {
-    SolveContext context;
-    for (size_t i = 0; i < num_queries; ++i) {
-      BoostRequest ref = requests[i];
-      ref.deadline_ms = 600'000;  // 10 min: present but unreachable
-      if (!lb && ref.mode == SolveMode::kAuto) ref.mode = SolveMode::kFull;
-      StatusOr<BoostResponse> r = service.Solve(ref, &context);
-      if (!r.ok()) {
-        std::fprintf(stderr, "error: %s\n", r.status().ToString().c_str());
-        return 1;
-      }
-      reference[i] = std::move(r).value().result;
-      if (!lb) {
-        ref.mode = SolveMode::kLbOnly;
-        StatusOr<BoostResponse> lb_r = service.Solve(ref, &context);
-        if (!lb_r.ok()) {
-          std::fprintf(stderr, "error: %s\n",
-                       lb_r.status().ToString().c_str());
-          return 1;
-        }
-        lb_reference[i] = std::move(lb_r).value().result;
-      }
-    }
-  }
-  const double serial_s = serial_timer.Seconds();
-  std::printf("serial reference: %zu queries in %.3fs (%.1f q/s)\n\n",
-              num_queries, serial_s,
-              static_cast<double>(num_queries) / serial_s);
-
-  // Measure every client count first, then print with the speedup column
-  // anchored on the 1-client run when the list has one (on the first listed
-  // count otherwise, labelled accordingly).
-  struct Row {
-    size_t clients;
-    double qps;
-    double secs;
-  };
-  std::vector<Row> rows;
-  bool diverged = false;
-  size_t total_shed = 0, total_missed = 0, total_degraded = 0;
-  for (size_t c : clients) {
-    std::atomic<size_t> mismatches{0};
-    std::atomic<size_t> shed{0}, missed{0}, degraded{0};
-    WallTimer timer;
-    std::vector<std::thread> workers;
-    workers.reserve(c);
-    for (size_t t = 0; t < c; ++t) {
-      workers.emplace_back([&, t] {
-        SolveContext context;
-        for (size_t i = t; i < num_queries; i += c) {
-          StatusOr<BoostResponse> r = service.Solve(requests[i], &context);
-          if (r.ok()) {
-            // A degraded answer must be the pool's exact LB answer; an
-            // un-degraded one must match the full reference bits.
-            const BoostResult& expect =
-                r.value().degraded ? lb_reference[i] : reference[i];
-            if (r.value().degraded) {
-              degraded.fetch_add(1, std::memory_order_relaxed);
-            }
-            if (!SameAnswer(r.value().result, expect)) {
-              mismatches.fetch_add(1, std::memory_order_relaxed);
-            }
-          } else if (r.status().code() == StatusCode::kResourceExhausted) {
-            shed.fetch_add(1, std::memory_order_relaxed);
-          } else if (r.status().code() == StatusCode::kDeadlineExceeded) {
-            missed.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            // Anything else under overload is a bug, not load shedding.
-            std::fprintf(stderr, "error: untyped failure: %s\n",
-                         r.status().ToString().c_str());
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    const double secs = timer.Seconds();
-    rows.push_back({c, static_cast<double>(num_queries) / secs, secs});
-    total_shed += shed.load();
-    total_missed += missed.load();
-    total_degraded += degraded.load();
-    if (mismatches.load() != 0) {
-      std::fprintf(stderr,
-                   "error: %zu of %zu concurrent answers diverged from the "
-                   "serial reference at %zu clients\n",
-                   mismatches.load(), num_queries, c);
-      diverged = true;
-    }
-  }
-  double qps_base = rows.front().qps;
-  bool base_is_one = clients.front() == 1;
-  for (const Row& row : rows) {
-    if (row.clients == 1) {
-      qps_base = row.qps;
-      base_is_one = true;
-      break;
-    }
-  }
-  std::printf("%8s %12s %10s %10s\n", "clients", "queries/s", "wall_s",
-              base_is_one ? "vs_1" : "vs_first");
-  for (const Row& row : rows) {
-    std::printf("%8zu %12.1f %10.3f %9.2fx\n", row.clients, row.qps,
-                row.secs, row.qps / qps_base);
-  }
-
-  // The service's own metrics, as an operator dashboard would read them:
-  // per-pool traffic counters and solve-latency quantiles collected on the
-  // query path (src/serve/service_stats.h).
-  if (total_shed + total_missed + total_degraded != 0) {
-    std::printf("\noverload outcomes across all client counts: %zu shed "
-                "(ResourceExhausted), %zu deadline misses, %zu degraded "
-                "answers\n",
-                total_shed, total_missed, total_degraded);
-  }
-
-  const ServiceStatsSnapshot stats = service.Stats();
-  std::printf("\nservice stats (Stats()):\n");
-  for (const PoolStatsSnapshot& ps : stats.pools) {
-    std::printf("  pool '%s' v%llu: %llu queries, %llu errors, "
-                "latency ms mean/p50/p95/ewma = %.3f/%.3f/%.3f/%.3f, "
-                "last rebuild %.1f ms\n",
-                ps.pool.c_str(), static_cast<unsigned long long>(ps.version),
-                static_cast<unsigned long long>(ps.queries),
-                static_cast<unsigned long long>(ps.errors), ps.latency_mean_ms,
-                ps.latency_p50_ms, ps.latency_p95_ms, ps.latency_ewma_ms,
-                ps.last_rebuild_ms);
-    if (ps.shed + ps.deadline_misses + ps.degraded + ps.load_retries != 0) {
-      std::printf("    overload: %llu shed, %llu deadline misses, %llu "
-                  "degraded, %llu load retries\n",
-                  static_cast<unsigned long long>(ps.shed),
-                  static_cast<unsigned long long>(ps.deadline_misses),
-                  static_cast<unsigned long long>(ps.degraded),
-                  static_cast<unsigned long long>(ps.load_retries));
-    }
-  }
-  std::printf("  admission: %llu admitted, %llu shed, %llu queue timeouts "
-              "(in flight %llu, queued %llu)\n",
-              static_cast<unsigned long long>(stats.admitted),
-              static_cast<unsigned long long>(stats.shed),
-              static_cast<unsigned long long>(stats.queue_timeouts),
-              static_cast<unsigned long long>(stats.in_flight),
-              static_cast<unsigned long long>(stats.queued));
-  if (stats.not_found != 0) {
-    std::printf("  not-found requests: %llu\n",
-                static_cast<unsigned long long>(stats.not_found));
-  }
-  return diverged ? 1 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -821,7 +474,6 @@ int main(int argc, char** argv) {
   if (cmd == "seeds") return CmdSeeds(argc, argv);
   if (cmd == "boost") return CmdBoost(argc, argv);
   if (cmd == "evaluate") return CmdEvaluate(argc, argv);
-  if (cmd == "serve-bench") return CmdServeBench(argc, argv);
   if (cmd == "serve") return RunServeCommand(argc, argv, 2);
   if (cmd == "query") return RunQueryCommand(argc, argv, 2);
   return Usage();

@@ -50,10 +50,10 @@ int main() {
   const std::string pool_path = "/tmp/kboost_digg_pool.bin";
   BoostSession session(g, seeds, opts);
   session.Prepare();  // the expensive part: IMM schedule + PRR sampling
-  Status pool_save = session.SavePool(pool_path);
+  StatusOr<PoolSaveResult> pool_save = SavePoolSnapshot(session, pool_path);
   if (!pool_save.ok()) {
     std::fprintf(stderr, "pool save failed: %s\n",
-                 pool_save.ToString().c_str());
+                 pool_save.status().ToString().c_str());
     return 1;
   }
   std::printf("saved PRR pool (theta=%zu) to %s\n",

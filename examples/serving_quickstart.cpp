@@ -17,6 +17,7 @@
 #include "src/core/boost_session.h"
 #include "src/expt/datasets.h"
 #include "src/expt/seed_selection.h"
+#include "src/io/pool_io.h"
 #include "src/serve/boost_service.h"
 
 int main() {
@@ -37,7 +38,8 @@ int main() {
                  session.status().ToString().c_str());
     return 1;
   }
-  if (Status s = (*session)->SavePool(pool_path); !s.ok()) {
+  (*session)->Prepare();
+  if (Status s = SavePoolSnapshot(**session, pool_path).status(); !s.ok()) {
     std::fprintf(stderr, "pool save failed: %s\n", s.ToString().c_str());
     return 1;
   }

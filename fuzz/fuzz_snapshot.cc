@@ -1,8 +1,8 @@
 // Fuzz harness for the snapshot loaders (src/io/pool_io): the other decoder
 // that parses bytes from outside the process trust boundary. A refresh admin
-// frame points the server at a snapshot path, so the v1/v2/v3 stream loader
-// AND the v3 mmap validator must survive arbitrary file contents with a
-// typed Status — never a crash, an overread of the mapping, or an
+// frame points the server at a snapshot path, so the owned loader (stream
+// header and LB reader, codec decodes) AND the mmap validator must survive
+// arbitrary file contents with a typed Status — never a crash, an overread of the mapping, or an
 // unbounded allocation.
 //
 // Shape of one input: the bytes are written to a per-process temp file and
@@ -101,7 +101,6 @@ void FuzzOne(const uint8_t* data, size_t size) {
   PoolLoadOptions mmap_options;
   mmap_options.use_mmap = true;
   mmap_options.verify_mapped = true;
-  mmap_options.prefault = false;
   StatusOr<std::unique_ptr<BoostSession>> mapped =
       LoadPoolSnapshot(graph, ScratchPath(), mmap_options);
   if (mapped.ok()) {

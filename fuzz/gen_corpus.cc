@@ -182,9 +182,10 @@ DirectedGraph CorpusGraph() {
   return std::move(b).Build();
 }
 
-// v3 layout landmarks (tests/snapshot_test.cc documents the layout): the
-// 128-byte v2 header prefix, the 32-byte extension, the seed list, then the
+// Snapshot layout landmarks (tests/snapshot_test.cc documents the layout):
+// the 128-byte header prefix, the 32-byte extension, the seed list, then the
 // per-shard section directory.
+constexpr size_t kVersionOffset = 8;
 constexpr size_t kNumThreadsOffset = 64;
 constexpr size_t kEndianOffset = 128;
 size_t DirOffset(size_t num_seeds) { return 128 + 32 + 4 * num_seeds; }
@@ -208,11 +209,9 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
 
   const std::string scratch =
       (fs::temp_directory_path() / "kboost_gen_corpus.bin").string();
-  auto save_bytes = [&](SnapshotCodec codec,
-                        uint32_t format_version) -> std::string {
+  auto save_bytes = [&](SnapshotCodec codec) -> std::string {
     PoolSaveOptions save;
     save.codec = codec;
-    save.format_version = format_version;
     StatusOr<PoolSaveResult> result = SavePoolSnapshot(session, scratch, save);
     KB_CHECK(result.ok());
     std::ifstream in(scratch, std::ios::binary);
@@ -220,14 +219,18 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
                        std::istreambuf_iterator<char>());
   };
 
-  const std::string v3_nop = save_bytes(SnapshotCodec::kNop, 3);
-  const std::string v3_varint = save_bytes(SnapshotCodec::kVarint, 3);
-  const std::string v2 = save_bytes(SnapshotCodec::kNop, 2);
+  const std::string v3_nop = save_bytes(SnapshotCodec::kNop);
+  const std::string v3_varint = save_bytes(SnapshotCodec::kVarint);
   fs::remove(scratch);
 
   WriteCase(dir, "v3_nop.bin", v3_nop);
   WriteCase(dir, "v3_varint.bin", v3_varint);
-  WriteCase(dir, "v2_stream.bin", v2);
+
+  // A valid snapshot whose version word names a retired format: refused
+  // typed by the version check alone.
+  std::string retired = v3_nop;
+  PokeU32(&retired, kVersionOffset, 2);
+  WriteCase(dir, "retired_version.bin", retired);
 
   // The PR 9 corruption matrix as seed files: each is the valid v3-nop
   // snapshot with one structural lie, mirroring tests/snapshot_test.cc.
@@ -258,6 +261,10 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
   std::string inflated = v3_nop;
   PokeU64(&inflated, SectionEntryOffset(d, 0, 5) + 16, uint64_t{1} << 40);
   WriteCase(dir, "inflated_value_count.bin", inflated);
+
+  std::string inflated_graphs = v3_nop;
+  PokeU64(&inflated_graphs, d, uint64_t{1} << 60);  // shard 0's num_graphs
+  WriteCase(dir, "inflated_graph_count.bin", inflated_graphs);
 
   std::string nop_mismatch = v3_nop;
   const size_t entry5 = SectionEntryOffset(d, 0, 5);

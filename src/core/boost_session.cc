@@ -1,6 +1,6 @@
 #include "src/core/boost_session.h"
 
-#include "src/io/pool_io.h"
+#include <string>
 
 namespace kboost {
 
@@ -37,11 +37,6 @@ void BoostSession::Prepare() { engine_.Prepare(); }
 
 BoostResult BoostSession::SolveForBudget(size_t k) {
   return engine_.SolveForBudget(k);
-}
-
-Status BoostSession::SavePool(const std::string& path) {
-  engine_.EnsureSampled();
-  return SavePoolSnapshot(*this, path);
 }
 
 }  // namespace kboost

@@ -2,7 +2,6 @@
 #define KBOOST_CORE_BOOST_SESSION_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/core/prr_boost.h"
@@ -41,8 +40,9 @@ namespace kboost {
 /// to the larger budget (the paper's budget-reuse heuristic).
 ///
 /// Prepared pools can be snapshotted to disk and restored in another
-/// process via SavePool / LoadPoolSnapshot (src/io/pool_io.h), enabling
-/// warm restarts and cross-process serving against one prepared index.
+/// process via SavePoolSnapshot / LoadPoolSnapshot (src/io/pool_io.h),
+/// enabling warm restarts and cross-process serving against one prepared
+/// index.
 class BoostSession {
  public:
   /// Fallible construction — the blessed path for anything driven by
@@ -64,7 +64,7 @@ class BoostSession {
   /// built read-only index and caches the LB greedy order, making the
   /// session ready for concurrent Solve() calls. Idempotent; also called
   /// lazily by SolveForBudget — call eagerly to front-load the expensive
-  /// part (e.g. at server startup or before SavePool).
+  /// part (e.g. at server startup or before SavePoolSnapshot).
   void Prepare();
 
   /// Serial sweep path: answers the k-boosting problem for any
@@ -107,10 +107,6 @@ class BoostSession {
   /// snapshot restore.
   PrrBoostEngine& engine() { return engine_; }
   const PrrBoostEngine& engine() const { return engine_; }
-
-  /// Samples (if needed) and snapshots the pool to `path`; convenience for
-  /// SavePoolSnapshot (src/io/pool_io.h).
-  Status SavePool(const std::string& path);
 
   /// Pins an external resource to this session's lifetime. The mmap loader
   /// (src/io/pool_io.h) uses this to keep the SnapshotMapping an external

@@ -233,13 +233,6 @@ void PrrCollection::RestoreFullPool(std::vector<PrrStore>&& stores,
   AddNonBoostableCounts(num_activated, num_hopeless);
 }
 
-void PrrCollection::RestoreFullPool(PrrStore&& store, size_t num_activated,
-                                    size_t num_hopeless) {
-  std::vector<PrrStore> stores;
-  stores.push_back(std::move(store));
-  RestoreFullPool(std::move(stores), num_activated, num_hopeless);
-}
-
 void PrrCollection::AddNonBoostableCounts(size_t num_activated,
                                           size_t num_hopeless) {
   coverage_.AddEmptySets(num_activated + num_hopeless);

@@ -232,9 +232,6 @@ class PrrCollection {
                        std::span<const uint32_t> set_sizes,
                        std::span<const NodeId> coverage_nodes,
                        size_t num_activated, size_t num_hopeless);
-  /// Single-arena compat overload (v1 snapshots load as S=1).
-  void RestoreFullPool(PrrStore&& store, size_t num_activated,
-                       size_t num_hopeless);
   /// Accounts non-boostable samples in bulk (denominator only) — the
   /// LB-mode snapshot-restore path after AddBoostableCriticalOnly calls.
   void AddNonBoostableCounts(size_t num_activated, size_t num_hopeless);

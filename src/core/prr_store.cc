@@ -1,8 +1,6 @@
 #include "src/core/prr_store.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 
 #include "src/util/logging.h"
 
@@ -13,28 +11,6 @@ namespace {
 template <typename T>
 void AppendSpan(std::vector<T>& pool, std::span<const T> data) {
   pool.insert(pool.end(), data.begin(), data.end());
-}
-
-template <typename T>
-void WriteVec(std::ostream& out, std::span<const T> v) {
-  const uint64_t count = v.size();
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(count * sizeof(T)));
-}
-
-/// Reads a WriteVec-encoded vector, rejecting counts other than `expect`
-/// (every vector's size is implied by the graph-size table, so a mismatch
-/// means corruption — and guards against pathological allocations).
-template <typename T>
-bool ReadVec(std::istream& in, std::vector<T>* v, uint64_t expect) {
-  uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || count != expect) return false;
-  v->resize(count);
-  in.read(reinterpret_cast<char*>(v->data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  return static_cast<bool>(in);
 }
 
 }  // namespace
@@ -135,75 +111,6 @@ size_t PrrStore::AllocatedBytes() const {
           out_edges_.capacity() + in_edges_.capacity() +
           critical_.capacity()) *
              sizeof(uint32_t);
-}
-
-void PrrStore::Serialize(std::ostream& out) const {
-  const uint64_t num_graphs = meta_.size();
-  out.write(reinterpret_cast<const char*>(&num_graphs), sizeof(num_graphs));
-  std::vector<uint32_t> num_nodes(num_graphs), num_critical(num_graphs);
-  for (size_t g = 0; g < num_graphs; ++g) {
-    num_nodes[g] = meta_[g].num_nodes;
-    num_critical[g] = meta_[g].num_critical;
-  }
-  WriteVec(out, std::span<const uint32_t>(num_nodes));
-  WriteVec(out, std::span<const uint32_t>(num_critical));
-  WriteVec(out, raw_global_ids());
-  WriteVec(out, raw_out_offsets());
-  WriteVec(out, raw_in_offsets());
-  WriteVec(out, raw_out_edges());
-  WriteVec(out, raw_in_edges());
-  WriteVec(out, raw_critical());
-}
-
-Status PrrStore::Deserialize(std::istream& in) {
-  KB_CHECK(meta_.empty()) << "Deserialize into a non-empty store";
-  uint64_t num_graphs = 0;
-  in.read(reinterpret_cast<char*>(&num_graphs), sizeof(num_graphs));
-  if (!in) return Status::IoError("truncated arena block: missing graph count");
-
-  // Every declared count must fit in the bytes actually present, so a
-  // corrupt count can never drive a pathological allocation: reject any
-  // vector whose payload exceeds what remains of the stream.
-  const std::streampos pos = in.tellg();
-  in.seekg(0, std::ios::end);
-  const uint64_t remaining = static_cast<uint64_t>(in.tellg() - pos);
-  in.seekg(pos);
-  const auto fits = [remaining](uint64_t count, size_t elem_size) {
-    return count <= remaining / elem_size;
-  };
-  const Status oversized = Status::InvalidArgument(
-      "arena block declares more data than the stream holds");
-  const Status truncated = Status::IoError("truncated arena block");
-  if (!fits(num_graphs, 2 * sizeof(uint32_t))) return oversized;
-
-  std::vector<uint32_t> num_nodes, num_critical;
-  if (!ReadVec(in, &num_nodes, num_graphs)) return truncated;
-  if (!ReadVec(in, &num_critical, num_graphs)) return truncated;
-  uint64_t total_nodes = 0, total_critical = 0;
-  for (size_t g = 0; g < num_graphs; ++g) {
-    total_nodes += num_nodes[g];
-    total_critical += num_critical[g];
-  }
-  const uint64_t offsets_len = total_nodes + num_graphs;
-  if (!fits(total_nodes, sizeof(NodeId)) ||
-      !fits(offsets_len, sizeof(uint32_t)) ||
-      !fits(total_critical, sizeof(uint32_t))) {
-    return oversized;
-  }
-  if (!ReadVec(in, &global_ids_, total_nodes)) return truncated;
-  if (!ReadVec(in, &out_offsets_, offsets_len)) return truncated;
-  if (!ReadVec(in, &in_offsets_, offsets_len)) return truncated;
-
-  uint64_t edge_total = 0, critical_total = 0;
-  Status meta_status =
-      BuildMetaFromSizes(num_nodes, num_critical, &edge_total, &critical_total);
-  if (!meta_status.ok()) return meta_status;
-  if (!fits(edge_total, sizeof(uint32_t))) return oversized;
-  if (!ReadVec(in, &out_edges_, edge_total)) return truncated;
-  if (!ReadVec(in, &in_edges_, edge_total)) return truncated;
-  if (!ReadVec(in, &critical_, critical_total)) return truncated;
-
-  return ValidateDeep();
 }
 
 Status PrrStore::BuildMetaFromSizes(std::span<const uint32_t> num_nodes,

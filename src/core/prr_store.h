@@ -2,7 +2,6 @@
 #define KBOOST_CORE_PRR_STORE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -72,7 +71,7 @@ class PrrStore {
   /// (section lengths mutually consistent, offsets graph-relative and
   /// monotone — evaluators index edge pools through them); `deep_validate`
   /// additionally walks every edge endpoint and critical id (O(total_edges),
-  /// same rigor as Deserialize). On error the store is Clear()ed.
+  /// same rigor as AdoptBuffers). On error the store is Clear()ed.
   Status AttachExternal(const ArenaSections& sections, bool deep_validate);
 
   /// Takes ownership of already-materialized section buffers (the codec
@@ -126,7 +125,7 @@ class PrrStore {
   /// Largest per-graph local node count in the arena — the grow-only scratch
   /// bound evaluators reserve once per selection run.
   uint32_t max_num_nodes() const { return max_num_nodes_; }
-  /// Bumped on every mutation (Append/Clear/Deserialize); lets cached
+  /// Bumped on every mutation (Append/Clear/Adopt/Attach); lets cached
   /// per-graph evaluation state (PrrEvalState) detect resampling and
   /// invalidate itself instead of serving bits for a different pool.
   uint64_t generation() const { return generation_; }
@@ -145,17 +144,6 @@ class PrrStore {
   /// batches). On an external store this detaches the spans, leaving an
   /// empty owned store.
   void Clear();
-
-  /// Binary snapshot of the arena (pool snapshots, src/io/pool_io). The
-  /// format is independent of the Meta struct layout: per-graph sizes are
-  /// written explicitly and the arena begins are rebuilt by prefix sums on
-  /// load.
-  void Serialize(std::ostream& out) const;
-  /// Restores an arena written by Serialize into this (empty) store,
-  /// verifying structural consistency (counts, offset monotonicity, edge
-  /// targets and critical ids in range). Returns a descriptive
-  /// InvalidArgument/IoError status on malformed or truncated input.
-  Status Deserialize(std::istream& in);
 
  private:
   struct Meta {

@@ -6,9 +6,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -23,25 +24,22 @@ namespace kboost {
 namespace {
 
 constexpr char kMagic[8] = {'K', 'B', 'P', 'R', 'R', 'P', 'O', 'L'};
-/// v1: single-arena full-mode body. v2: adds num_shards to the header and
-/// stores the full-mode body as a per-shard blob-size table followed by one
-/// independently-validated arena blob per shard. v3: keeps the v2 header
-/// prefix byte-for-byte, appends a 32-byte extension (endianness marker,
-/// default codec, alignment, directory offset) and replaces the full-mode
-/// body with a section directory over aligned flat uint32 blocks — eight per
-/// shard plus one pool-level coverage section (the critical sets translated
-/// to global ids, shard-major; present on nop-coded snapshots only), each
-/// independently codec-coded — so a nop-coded snapshot is servable in place
-/// from an mmap, coverage pool included. v1/v2 snapshots still load (v1 as
-/// S=1).
+/// The one snapshot format: a fixed header (a 128-byte prefix plus a 32-byte
+/// extension: endianness marker, default codec, alignment, directory
+/// offset), the seed list, then the body. The full-mode body is a section
+/// directory over aligned flat uint32 blocks — eight per shard plus one
+/// pool-level coverage section (the critical sets translated to global ids,
+/// shard-major; present on nop-coded snapshots only), each independently
+/// codec-coded — so a nop-coded snapshot is servable in place from an mmap,
+/// coverage pool included. Versions 1 and 2 were stream formats; they are
+/// retired and refused.
 constexpr uint32_t kVersion = 3;
-constexpr uint32_t kMinVersion = 1;
+constexpr uint32_t kMinVersion = 3;
 
 constexpr uint32_t kFlagLbOnly = 1u << 0;
 constexpr uint32_t kFlagSamplesCapped = 1u << 1;
 
-constexpr uint64_t kHeaderBytes = 128;  // v1/v2-compatible prefix
-constexpr uint64_t kExtBytes = 32;      // v3 extension after the prefix
+constexpr uint64_t kHeaderBytes = 160;  // 128-byte prefix + 32-byte extension
 constexpr uint32_t kEndianMarker = 0x01020304u;
 constexpr uint64_t kShardAlign = 4096;  // shard regions start page-aligned
 constexpr uint64_t kBlockAlign = 64;    // section blocks cache-line-aligned
@@ -65,7 +63,7 @@ struct Header {
   uint64_t rng_seed = 0;
   uint64_t max_samples = 0;
   uint32_t num_threads = 0;
-  uint32_t num_shards = 1;  // v2+; implicit 1 in v1 snapshots
+  uint32_t num_shards = 1;
   uint64_t num_seeds = 0;
   uint64_t num_boostable = 0;
   uint64_t num_activated = 0;
@@ -73,11 +71,8 @@ struct Header {
   uint64_t edges_examined = 0;
   uint64_t uncompressed_edges = 0;
   uint64_t compressed_edges = 0;
-};
-
-/// v3 header extension, at bytes [128, 160). dir_offset is 0 on LB-only
-/// snapshots (which store critical sets, not arenas, and have no directory).
-struct HeaderExt {
+  // Extension, at bytes [128, 160). dir_offset is 0 on LB-only snapshots
+  // (which store critical sets, not arenas, and have no directory).
   uint32_t endian_marker = kEndianMarker;
   uint32_t default_codec = 0;
   uint64_t section_align = kShardAlign;
@@ -85,7 +80,7 @@ struct HeaderExt {
   uint64_t reserved = 0;
 };
 
-/// One arena section block as recorded in the v3 directory. `offset` is
+/// One arena section block as recorded in the directory. `offset` is
 /// absolute in the file; `raw_bytes` is the decoded length (4 × value
 /// count); for SnapshotCodec::kNop, stored_bytes == raw_bytes and the block
 /// IS the arena memory.
@@ -180,14 +175,11 @@ void WriteHeader(std::ostream& out, const Header& h) {
   WritePod(out, h.edges_examined);
   WritePod(out, h.uncompressed_edges);
   WritePod(out, h.compressed_edges);
-}
-
-void WriteHeaderExt(std::ostream& out, const HeaderExt& e) {
-  WritePod(out, e.endian_marker);
-  WritePod(out, e.default_codec);
-  WritePod(out, e.section_align);
-  WritePod(out, e.dir_offset);
-  WritePod(out, e.reserved);
+  WritePod(out, h.endian_marker);
+  WritePod(out, h.default_codec);
+  WritePod(out, h.section_align);
+  WritePod(out, h.dir_offset);
+  WritePod(out, h.reserved);
 }
 
 Status ReadHeader(std::istream& in, const std::string& path, Header* h) {
@@ -210,31 +202,18 @@ Status ReadHeader(std::istream& in, const std::string& path, Header* h) {
   if (!ReadPod(in, &h->num_graph_nodes) || !ReadPod(in, &h->pool_budget) ||
       !ReadPod(in, &h->epsilon) || !ReadPod(in, &h->ell) ||
       !ReadPod(in, &h->rng_seed) || !ReadPod(in, &h->max_samples) ||
-      !ReadPod(in, &h->num_threads)) {
-    return Status::IoError("truncated pool snapshot header: " + path);
-  }
-  h->num_shards = 1;  // v1 snapshots are single-arena pools
-  if (h->version >= 2 && !ReadPod(in, &h->num_shards)) {
-    return Status::IoError("truncated pool snapshot header: " + path);
-  }
-  if (!ReadPod(in, &h->num_seeds) || !ReadPod(in, &h->num_boostable) ||
+      !ReadPod(in, &h->num_threads) || !ReadPod(in, &h->num_shards) ||
+      !ReadPod(in, &h->num_seeds) || !ReadPod(in, &h->num_boostable) ||
       !ReadPod(in, &h->num_activated) || !ReadPod(in, &h->num_hopeless) ||
       !ReadPod(in, &h->edges_examined) ||
       !ReadPod(in, &h->uncompressed_edges) ||
-      !ReadPod(in, &h->compressed_edges)) {
+      !ReadPod(in, &h->compressed_edges) ||
+      !ReadPod(in, &h->endian_marker) || !ReadPod(in, &h->default_codec) ||
+      !ReadPod(in, &h->section_align) || !ReadPod(in, &h->dir_offset) ||
+      !ReadPod(in, &h->reserved)) {
     return Status::IoError("truncated pool snapshot header: " + path);
   }
-  return Status::Ok();
-}
-
-Status ReadHeaderExt(std::istream& in, const std::string& path,
-                     HeaderExt* e) {
-  if (!ReadPod(in, &e->endian_marker) || !ReadPod(in, &e->default_codec) ||
-      !ReadPod(in, &e->section_align) || !ReadPod(in, &e->dir_offset) ||
-      !ReadPod(in, &e->reserved)) {
-    return Status::IoError("truncated pool snapshot header: " + path);
-  }
-  if (e->endian_marker != kEndianMarker) {
+  if (h->endian_marker != kEndianMarker) {
     return Status::InvalidArgument(
         "pool snapshot byte order does not match this host "
         "(endianness marker mismatch): " +
@@ -270,7 +249,7 @@ Status CheckGlobalIds(const PrrStore& store, uint64_t num_graph_nodes) {
   return Status::Ok();
 }
 
-/// Per-entry structural checks for one v3 section block: 4-byte aligned, in
+/// Per-entry structural checks for one section block: 4-byte aligned, in
 /// bounds, non-overlapping and in file order (`prev_end` advances); codec
 /// known; nop blocks stored verbatim; value count bounded by stored bytes
 /// (all codecs emit ≥ 1 byte per value, so a corrupt raw_bytes can never
@@ -314,7 +293,7 @@ bool CoverageAbsent(const SectionEntry& e) {
   return e.offset == 0 && e.stored_bytes == 0 && e.raw_bytes == 0;
 }
 
-/// Structural validation of a v3 section directory against the mapped file
+/// Structural validation of a section directory against the mapped file
 /// length: every shard block plus the trailing pool-level coverage section
 /// (when present, it must follow the shard regions and hold exactly as many
 /// values as the shard critical sections combined).
@@ -393,7 +372,7 @@ Status CheckCoverageSection(const std::vector<PrrStore>& stores,
   return Status::Ok();
 }
 
-/// LB body (all versions): the critical sets as one flat offsets/nodes pair
+/// LB body: the critical sets as one flat offsets/nodes pair
 /// over the non-empty sample numbering.
 void WriteLbBody(std::ostream& out, const PrrCollection& pool) {
   const CoverageSelector& coverage = pool.coverage();
@@ -412,74 +391,16 @@ void WriteLbBody(std::ostream& out, const PrrCollection& pool) {
   }
 }
 
-}  // namespace
-
-SnapshotMapping::~SnapshotMapping() {
-  if (addr_ != nullptr) ::munmap(addr_, len_);
-}
-
-StatusOr<std::shared_ptr<SnapshotMapping>> SnapshotMapping::Open(
-    const std::string& path, bool prefault) {
-  if (MaybeInjectFault(FaultSite::kSnapshotMmap)) {
-    return Status::IoError("injected fault: mmap snapshot: " + path);
-  }
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Status::IoError("cannot open for mapping: " + path);
-  struct stat st;
-  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-    ::close(fd);
-    return Status::IoError("cannot stat for mapping: " + path);
-  }
-  const size_t len = static_cast<size_t>(st.st_size);
-  int flags = MAP_PRIVATE;
-#ifdef MAP_POPULATE
-  // Prefault in one syscall instead of one minor fault per touched 4 KiB —
-  // load-time validation walks most of the file anyway, and fault storms
-  // were the dominant cost of warm-start-size mappings.
-  if (prefault) flags |= MAP_POPULATE;
-#else
-  (void)prefault;  // best effort; on-demand paging still works
-#endif
-  void* addr = ::mmap(nullptr, len, PROT_READ, flags, fd, 0);
-  ::close(fd);  // the mapping holds its own reference to the file
-  if (addr == MAP_FAILED) {
-    return Status::IoError("mmap failed: " + path);
-  }
-  return std::shared_ptr<SnapshotMapping>(new SnapshotMapping(addr, len));
-}
-
-StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
-                                          const std::string& path,
-                                          const PoolSaveOptions& options) {
-  if (!session.prepared()) {
-    return Status::InvalidArgument(
-        "session pool not prepared; call Prepare() before saving");
-  }
-  if (options.format_version != 2 && options.format_version != 3) {
-    return Status::InvalidArgument(
-        "unsupported snapshot format version " +
-        std::to_string(options.format_version) + " (this build writes 2, 3)");
-  }
-  if (options.format_version == 2 && options.codec != SnapshotCodec::kNop) {
-    return Status::InvalidArgument(
-        "the legacy v2 format has no codec seam; use format_version 3 for " +
-        std::string(CodecName(options.codec)));
-  }
-  const Codec* codec = CodecById(static_cast<uint32_t>(options.codec));
-  if (codec == nullptr) {
-    return Status::InvalidArgument("unknown snapshot codec id " +
-                                   std::to_string(static_cast<uint32_t>(
-                                       options.codec)));
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-
+/// Streams the snapshot of `session` (prepared) into `out`, coding every
+/// arena section with `codec`. Returns the snapshot length in bytes; write
+/// errors surface as the stream's state.
+uint64_t WriteSnapshot(std::ostream& out, const BoostSession& session,
+                       const Codec& codec) {
   const PrrBoostEngine& engine = session.engine();
   const PrrCollection& pool = engine.collection();
   const PrrSamplerStats& stats = engine.stats();
 
   Header h;
-  h.version = options.format_version;
   h.flags = (session.lb_only() ? kFlagLbOnly : 0) |
             (engine.samples_capped() ? kFlagSamplesCapped : 0);
   h.num_graph_nodes = pool.num_graph_nodes();
@@ -497,182 +418,243 @@ StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
   h.edges_examined = stats.edges_examined;
   h.uncompressed_edges = stats.uncompressed_edges;
   h.compressed_edges = stats.compressed_edges;
-  WriteHeader(out, h);
-
+  h.default_codec = static_cast<uint32_t>(codec.id());
   const uint64_t seeds_bytes = h.num_seeds * sizeof(NodeId);
-  uint64_t file_bytes = 0;
-  HeaderExt ext;
-  if (options.format_version >= 3) {
-    ext.default_codec = static_cast<uint32_t>(options.codec);
-    ext.dir_offset =
-        session.lb_only() ? 0 : kHeaderBytes + kExtBytes + seeds_bytes;
-    WriteHeaderExt(out, ext);
-  }
+  h.dir_offset = session.lb_only() ? 0 : kHeaderBytes + seeds_bytes;
+  WriteHeader(out, h);
   out.write(reinterpret_cast<const char*>(session.seeds().data()),
             static_cast<std::streamsize>(seeds_bytes));
 
   if (session.lb_only()) {
     WriteLbBody(out, pool);
-    file_bytes = static_cast<uint64_t>(out.tellp());
-  } else if (options.format_version == 2) {
-    // Legacy v2 multi-shard body: per-shard blob sizes, then the blobs.
-    // Shards serialize concurrently into memory buffers; the size table is
-    // what lets the loader slice the stream and deserialize shards in
-    // parallel (and bound every per-shard allocation before it happens).
-    const size_t num_shards = pool.num_shards();
-    std::vector<std::string> blobs(num_shards);
-    ParallelFor(
-        num_shards, session.options().num_threads,
-        [&](size_t s, int /*t*/) {
-          std::ostringstream buffer(std::ios::binary);
-          pool.shard_store(s).Serialize(buffer);
-          blobs[s] = std::move(buffer).str();
-        },
-        /*chunk=*/1);
-    for (const std::string& blob : blobs) {
-      WritePod(out, static_cast<uint64_t>(blob.size()));
-    }
-    for (const std::string& blob : blobs) {
-      out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    }
-    file_bytes = static_cast<uint64_t>(out.tellp());
-  } else {
-    // v3 body: a zeroed directory placeholder, then each shard's eight
-    // section blocks streamed straight from the arena (no serialize-to-
-    // string staging — the nop path writes the arena spans verbatim; a
-    // compressing codec stages one section at a time), then, for nop-coded
-    // (mmap-servable) snapshots, the pool-level coverage section, then the
-    // directory backpatched with the final offsets and sizes.
-    const size_t num_shards = pool.num_shards();
-    const uint64_t dir_bytes = num_shards * kDirEntryBytes + kCoverageEntryBytes;
-    WriteZeros(out, dir_bytes);
-    uint64_t pos = ext.dir_offset + dir_bytes;
+    return static_cast<uint64_t>(out.tellp());
+  }
+  // Full-mode body: a zeroed directory placeholder, then each shard's eight
+  // section blocks streamed straight from the arena (no serialize-to-
+  // string staging — the nop path writes the arena spans verbatim; a
+  // compressing codec stages one section at a time), then, for nop-coded
+  // (mmap-servable) snapshots, the pool-level coverage section, then the
+  // directory backpatched with the final offsets and sizes.
+  const size_t num_shards = pool.num_shards();
+  const uint64_t dir_bytes = num_shards * kDirEntryBytes + kCoverageEntryBytes;
+  WriteZeros(out, dir_bytes);
+  uint64_t pos = h.dir_offset + dir_bytes;
 
-    std::vector<ShardDir> dirs(num_shards);
-    std::string encode_buf;
-    for (size_t s = 0; s < num_shards; ++s) {
-      const PrrStore& store = pool.shard_store(s);
-      const size_t num_graphs = store.num_graphs();
-      std::vector<uint32_t> num_nodes(num_graphs), num_critical(num_graphs);
-      for (size_t g = 0; g < num_graphs; ++g) {
-        num_nodes[g] = store.num_nodes(g);
-        num_critical[g] = static_cast<uint32_t>(store.critical_count(g));
-      }
-      const std::span<const uint32_t> sections[kNumSections] = {
-          num_nodes,
-          num_critical,
-          store.raw_global_ids(),
-          store.raw_out_offsets(),
-          store.raw_in_offsets(),
-          store.raw_out_edges(),
-          store.raw_in_edges(),
-          store.raw_critical()};
-
-      dirs[s].num_graphs = num_graphs;
-      const uint64_t shard_begin = AlignUp(pos, kShardAlign);
-      WriteZeros(out, shard_begin - pos);
-      pos = shard_begin;
-      for (size_t i = 0; i < kNumSections; ++i) {
-        const uint64_t block_begin = AlignUp(pos, kBlockAlign);
-        WriteZeros(out, block_begin - pos);
-        pos = block_begin;
-        SectionEntry& e = dirs[s].sections[i];
-        e.offset = pos;
-        e.raw_bytes = sections[i].size() * sizeof(uint32_t);
-        e.codec = static_cast<uint32_t>(options.codec);
-        if (options.codec == SnapshotCodec::kNop) {
-          if (!sections[i].empty()) {
-            out.write(reinterpret_cast<const char*>(sections[i].data()),
-                      static_cast<std::streamsize>(e.raw_bytes));
-          }
-          e.stored_bytes = e.raw_bytes;
-        } else {
-          encode_buf.clear();
-          codec->Encode(sections[i], &encode_buf);
-          out.write(encode_buf.data(),
-                    static_cast<std::streamsize>(encode_buf.size()));
-          e.stored_bytes = encode_buf.size();
-        }
-        pos += e.stored_bytes;
-      }
+  std::vector<ShardDir> dirs(num_shards);
+  std::string encode_buf;
+  for (size_t s = 0; s < num_shards; ++s) {
+    const PrrStore& store = pool.shard_store(s);
+    const size_t num_graphs = store.num_graphs();
+    std::vector<uint32_t> num_nodes(num_graphs), num_critical(num_graphs);
+    for (size_t g = 0; g < num_graphs; ++g) {
+      num_nodes[g] = store.num_nodes(g);
+      num_critical[g] = static_cast<uint32_t>(store.critical_count(g));
     }
+    const std::span<const uint32_t> sections[kNumSections] = {
+        num_nodes,
+        num_critical,
+        store.raw_global_ids(),
+        store.raw_out_offsets(),
+        store.raw_in_offsets(),
+        store.raw_out_edges(),
+        store.raw_in_edges(),
+        store.raw_critical()};
 
-    // Pool-level coverage section: every graph's critical set translated to
-    // global ids, shard-major in stored-graph order — exactly the node pool
-    // RestoreFullPool would gather, written once so an mmap load can bind
-    // the greedy-coverage selector in place. Skipped (all-zero entry) for
-    // compressed snapshots, which decode into owned arenas and re-gather.
-    SectionEntry coverage_entry;
-    if (options.codec == SnapshotCodec::kNop) {
-      std::vector<uint32_t> coverage_pool;
-      size_t total_critical = 0;
-      for (size_t s = 0; s < num_shards; ++s) {
-        total_critical += pool.shard_store(s).raw_critical().size();
-      }
-      coverage_pool.reserve(total_critical);
-      for (size_t s = 0; s < num_shards; ++s) {
-        const PrrStore& store = pool.shard_store(s);
-        const NodeId* ids = store.raw_global_ids().data();
-        const uint32_t* cursor = store.raw_critical().data();
-        const size_t store_graphs = store.num_graphs();
-        uint64_t node_begin = 0;
-        for (size_t g = 0; g < store_graphs; ++g) {
-          const NodeId* node_base = ids + node_begin;
-          for (const uint32_t* end = cursor + store.critical_count(g);
-               cursor != end; ++cursor) {
-            coverage_pool.push_back(node_base[*cursor]);
-          }
-          node_begin += store.num_nodes(g);
-        }
-      }
+    dirs[s].num_graphs = num_graphs;
+    const uint64_t shard_begin = AlignUp(pos, kShardAlign);
+    WriteZeros(out, shard_begin - pos);
+    pos = shard_begin;
+    for (size_t i = 0; i < kNumSections; ++i) {
       const uint64_t block_begin = AlignUp(pos, kBlockAlign);
       WriteZeros(out, block_begin - pos);
       pos = block_begin;
-      coverage_entry.offset = pos;
-      coverage_entry.raw_bytes = coverage_pool.size() * sizeof(uint32_t);
-      coverage_entry.stored_bytes = coverage_entry.raw_bytes;
-      coverage_entry.codec = static_cast<uint32_t>(SnapshotCodec::kNop);
-      if (!coverage_pool.empty()) {
-        out.write(reinterpret_cast<const char*>(coverage_pool.data()),
-                  static_cast<std::streamsize>(coverage_entry.raw_bytes));
+      SectionEntry& e = dirs[s].sections[i];
+      e.offset = pos;
+      e.raw_bytes = sections[i].size() * sizeof(uint32_t);
+      e.codec = static_cast<uint32_t>(codec.id());
+      if (codec.id() == SnapshotCodec::kNop) {
+        if (!sections[i].empty()) {
+          out.write(reinterpret_cast<const char*>(sections[i].data()),
+                    static_cast<std::streamsize>(e.raw_bytes));
+        }
+        e.stored_bytes = e.raw_bytes;
+      } else {
+        encode_buf.clear();
+        codec.Encode(sections[i], &encode_buf);
+        out.write(encode_buf.data(),
+                  static_cast<std::streamsize>(encode_buf.size()));
+        e.stored_bytes = encode_buf.size();
       }
-      pos += coverage_entry.stored_bytes;
+      pos += e.stored_bytes;
     }
-    file_bytes = pos;
-
-    out.seekp(static_cast<std::streamoff>(ext.dir_offset));
-    for (const ShardDir& dir : dirs) {
-      WritePod(out, dir.num_graphs);
-      for (const SectionEntry& e : dir.sections) {
-        WritePod(out, e.offset);
-        WritePod(out, e.stored_bytes);
-        WritePod(out, e.raw_bytes);
-        WritePod(out, e.codec);
-        WritePod(out, e.reserved);
-      }
-    }
-    WritePod(out, coverage_entry.offset);
-    WritePod(out, coverage_entry.stored_bytes);
-    WritePod(out, coverage_entry.raw_bytes);
-    WritePod(out, coverage_entry.codec);
-    WritePod(out, coverage_entry.reserved);
   }
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
 
+  // Pool-level coverage section: every graph's critical set translated to
+  // global ids, shard-major in stored-graph order — exactly the node pool
+  // RestoreFullPool would gather, written once so an mmap load can bind
+  // the greedy-coverage selector in place. Skipped (all-zero entry) for
+  // compressed snapshots, which decode into owned arenas and re-gather.
+  SectionEntry coverage_entry;
+  if (codec.id() == SnapshotCodec::kNop) {
+    std::vector<uint32_t> coverage_pool;
+    size_t total_critical = 0;
+    for (size_t s = 0; s < num_shards; ++s) {
+      total_critical += pool.shard_store(s).raw_critical().size();
+    }
+    coverage_pool.reserve(total_critical);
+    for (size_t s = 0; s < num_shards; ++s) {
+      const PrrStore& store = pool.shard_store(s);
+      const NodeId* ids = store.raw_global_ids().data();
+      const uint32_t* cursor = store.raw_critical().data();
+      const size_t store_graphs = store.num_graphs();
+      uint64_t node_begin = 0;
+      for (size_t g = 0; g < store_graphs; ++g) {
+        const NodeId* node_base = ids + node_begin;
+        for (const uint32_t* end = cursor + store.critical_count(g);
+             cursor != end; ++cursor) {
+          coverage_pool.push_back(node_base[*cursor]);
+        }
+        node_begin += store.num_nodes(g);
+      }
+    }
+    const uint64_t block_begin = AlignUp(pos, kBlockAlign);
+    WriteZeros(out, block_begin - pos);
+    pos = block_begin;
+    coverage_entry.offset = pos;
+    coverage_entry.raw_bytes = coverage_pool.size() * sizeof(uint32_t);
+    coverage_entry.stored_bytes = coverage_entry.raw_bytes;
+    coverage_entry.codec = static_cast<uint32_t>(SnapshotCodec::kNop);
+    if (!coverage_pool.empty()) {
+      out.write(reinterpret_cast<const char*>(coverage_pool.data()),
+                static_cast<std::streamsize>(coverage_entry.raw_bytes));
+    }
+    pos += coverage_entry.stored_bytes;
+  }
+
+  out.seekp(static_cast<std::streamoff>(h.dir_offset));
+  for (const ShardDir& dir : dirs) {
+    WritePod(out, dir.num_graphs);
+    for (const SectionEntry& e : dir.sections) {
+      WritePod(out, e.offset);
+      WritePod(out, e.stored_bytes);
+      WritePod(out, e.raw_bytes);
+      WritePod(out, e.codec);
+      WritePod(out, e.reserved);
+    }
+  }
+  WritePod(out, coverage_entry.offset);
+  WritePod(out, coverage_entry.stored_bytes);
+  WritePod(out, coverage_entry.raw_bytes);
+  WritePod(out, coverage_entry.codec);
+  WritePod(out, coverage_entry.reserved);
+  return pos;
+}
+
+/// Exclusively creates a fresh file beside `path` (same directory, so the
+/// final rename(2) cannot cross filesystems) and returns its name and an fd
+/// open on it. The 0666 mode is subject to the umask, as an ordinary
+/// create would be.
+Status CreateTempSibling(const std::string& path, std::string* tmp_path,
+                         int* fd) {
+  static std::atomic<uint64_t> counter{0};
+  const std::string prefix =
+      path + ".tmp." + std::to_string(::getpid()) + ".";
+  for (int attempt = 0; attempt < 16; ++attempt) {
+    *tmp_path = prefix;
+    *tmp_path += std::to_string(counter.fetch_add(1));
+    *fd = ::open(tmp_path->c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                 0666);
+    if (*fd >= 0) return Status::Ok();
+    if (errno != EEXIST) break;
+  }
+  return Status::IoError("cannot open for writing: " + path);
+}
+
+}  // namespace
+
+SnapshotMapping::~SnapshotMapping() {
+  if (addr_ != nullptr) ::munmap(addr_, len_);
+}
+
+StatusOr<std::shared_ptr<SnapshotMapping>> SnapshotMapping::Open(
+    const std::string& path) {
+  if (MaybeInjectFault(FaultSite::kSnapshotMmap)) {
+    return Status::IoError("injected fault: mmap snapshot: " + path);
+  }
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IoError("cannot open for mapping: " + path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
+    ::close(fd);
+    return Status::IoError("cannot stat for mapping: " + path);
+  }
+  const size_t len = static_cast<size_t>(st.st_size);
+  int flags = MAP_PRIVATE;
+#ifdef MAP_POPULATE
+  // Prefault in one syscall instead of one minor fault per touched 4 KiB —
+  // load-time validation walks most of the file anyway, and fault storms
+  // were the dominant cost of warm-start-size mappings. Without it (non-
+  // Linux) on-demand paging still works.
+  flags |= MAP_POPULATE;
+#endif
+  void* addr = ::mmap(nullptr, len, PROT_READ, flags, fd, 0);
+  ::close(fd);  // the mapping holds its own reference to the file
+  if (addr == MAP_FAILED) {
+    return Status::IoError("mmap failed: " + path);
+  }
+  return std::shared_ptr<SnapshotMapping>(new SnapshotMapping(addr, len));
+}
+
+StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
+                                          const std::string& path,
+                                          const PoolSaveOptions& options) {
+  if (!session.prepared()) {
+    return Status::InvalidArgument(
+        "session pool not prepared; call Prepare() before saving");
+  }
+  const Codec* codec = CodecById(static_cast<uint32_t>(options.codec));
+  if (codec == nullptr) {
+    return Status::InvalidArgument("unknown snapshot codec id " +
+                                   std::to_string(static_cast<uint32_t>(
+                                       options.codec)));
+  }
+  // Write a temporary sibling, make it durable, then rename it over `path`:
+  // a mapping of the old file keeps its inode (and its bytes), a reader
+  // never sees a partial snapshot, and any failure leaves `path` untouched.
+  std::string tmp_path;
+  int fd = -1;
+  if (Status s = CreateTempSibling(path, &tmp_path, &fd); !s.ok()) return s;
+  uint64_t file_bytes = 0;
+  Status published = Status::Ok();
+  {
+    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+    if (out) file_bytes = WriteSnapshot(out, session, *codec);
+    out.close();
+    if (!out) published = Status::IoError("write failed: " + path);
+  }
+  if (published.ok() && ::fsync(fd) != 0) {
+    published = Status::IoError("fsync failed: " + path);
+  }
+  ::close(fd);
+  if (published.ok() && ::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    published = Status::IoError("cannot publish snapshot: " + path);
+  }
+  if (!published.ok()) {
+    ::unlink(tmp_path.c_str());
+    return published;
+  }
+
+  const PrrCollection& pool = session.engine().collection();
   PoolSaveResult result;
   result.file_bytes = file_bytes;
-  result.num_samples = h.num_boostable + h.num_activated + h.num_hopeless;
+  result.num_samples =
+      pool.num_boostable() + pool.num_activated() + pool.num_hopeless();
   result.bytes_per_sample =
       result.num_samples > 0
           ? static_cast<double>(result.file_bytes) /
                 static_cast<double>(result.num_samples)
           : 0.0;
   return result;
-}
-
-Status SavePoolSnapshot(const BoostSession& session, const std::string& path) {
-  return SavePoolSnapshot(session, path, PoolSaveOptions{}).status();
 }
 
 StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
@@ -698,27 +680,12 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
       h.num_shards > static_cast<uint32_t>(PrrCollection::kMaxShards)) {
     return Status::InvalidArgument("corrupt pool snapshot header: " + path);
   }
-  HeaderExt ext;
-  if (h.version >= 3) {
-    Status ext_status = ReadHeaderExt(in, path, &ext);
-    if (!ext_status.ok()) return ext_status;
-  }
   const bool lb_only = (h.flags & kFlagLbOnly) != 0;
-
-  if (options.use_mmap) {
-    if (h.version < 3) {
-      return Status::FailedPrecondition(
-          "pool snapshot version " + std::to_string(h.version) +
-          " predates the mmap-servable v3 layout; re-save it with the "
-          "current writer: " +
-          path);
-    }
-    if (lb_only) {
-      return Status::FailedPrecondition(
-          "LB-only snapshot holds critical sets, not arena sections; the "
-          "mmap path serves full-mode pools only: " +
-          path);
-    }
+  if (options.use_mmap && lb_only) {
+    return Status::FailedPrecondition(
+        "LB-only snapshot holds critical sets, not arena sections; the "
+        "mmap path serves full-mode pools only: " +
+        path);
   }
 
   if (MaybeInjectFault(FaultSite::kSnapshotRead)) {
@@ -794,91 +761,13 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
           nodes.data() + offsets[i], offsets[i + 1] - offsets[i]));
     }
     pool->AddNonBoostableCounts(h.num_activated, h.num_hopeless);
-  } else if (h.version <= 2) {
-    const size_t num_shards = h.num_shards;
-    std::vector<std::string> blobs(num_shards);
-    if (h.version >= 2) {
-      // v2 body: the blob-size table bounds every read before it happens —
-      // reject a table that promises more bytes than the stream holds.
-      std::vector<uint64_t> blob_sizes(num_shards);
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (!ReadPod(in, &blob_sizes[s])) {
-          return Status::IoError("truncated shard size table: " + path);
-        }
-      }
-      // Per-entry then cumulative bound (the per-entry check also keeps the
-      // running total overflow-free). An absurd single entry means a corrupt
-      // table; a plausible table that sums past the stream means the file
-      // was cut short, so that case reports as truncation.
-      const uint64_t remaining = RemainingBytes(in);
-      uint64_t total_bytes = 0;
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (blob_sizes[s] > remaining) {
-          return Status::InvalidArgument(
-              "shard table declares more data than the snapshot holds: " +
-              path);
-        }
-        if (total_bytes + blob_sizes[s] > remaining) {
-          return Status::IoError("truncated shard block " +
-                                 std::to_string(s) + ": " + path);
-        }
-        total_bytes += blob_sizes[s];
-      }
-      for (size_t s = 0; s < num_shards; ++s) {
-        blobs[s].resize(blob_sizes[s]);
-        in.read(blobs[s].data(),
-                static_cast<std::streamsize>(blob_sizes[s]));
-        if (!in) {
-          return Status::IoError("truncated shard block " +
-                                 std::to_string(s) + ": " + path);
-        }
-      }
-    } else {
-      // v1 body: one arena blob spanning the rest of the stream; loads as a
-      // single-shard pool.
-      const uint64_t bytes = RemainingBytes(in);
-      blobs[0].resize(bytes);
-      in.read(blobs[0].data(), static_cast<std::streamsize>(bytes));
-      if (!in) return Status::IoError("truncated pool snapshot: " + path);
-    }
-
-    // Per-shard deserialization and structural validation fan out over the
-    // workers; every shard reports its own Status and the first failure (in
-    // shard order, for a deterministic message) wins.
-    std::vector<PrrStore> stores(num_shards);
-    std::vector<Status> shard_status(num_shards, Status::Ok());
-    ParallelFor(
-        num_shards, io_threads,
-        [&](size_t s, int /*t*/) {
-          std::istringstream blob_in(blobs[s], std::ios::binary);
-          if (Status arena = stores[s].Deserialize(blob_in); !arena.ok()) {
-            shard_status[s] = Status::InvalidArgument(
-                "corrupt PRR-graph arena in shard " + std::to_string(s) +
-                " of snapshot " + path + ": " + arena.ToString());
-            return;
-          }
-          shard_status[s] = CheckGlobalIds(stores[s], graph.num_nodes());
-        },
-        /*chunk=*/1);
-    for (const Status& s : shard_status) {
-      if (!s.ok()) return s;
-    }
-    size_t total_graphs = 0;
-    for (const PrrStore& store : stores) total_graphs += store.num_graphs();
-    if (total_graphs != h.num_boostable) {
-      return Status::InvalidArgument(
-          "snapshot header declares " + std::to_string(h.num_boostable) +
-          " boostable graphs but the shard arenas hold " +
-          std::to_string(total_graphs));
-    }
-    pool->RestoreFullPool(std::move(stores), h.num_activated, h.num_hopeless);
   } else {
-    // v3 full-mode body: parse the section directory out of a file mapping
+    // Full-mode body: parse the section directory out of a file mapping
     // (the parse itself is O(num_shards)), then either bind external stores
     // over the mapped sections (use_mmap) or decode every block into owned
     // arenas.
     in.close();
-    auto mapped = SnapshotMapping::Open(path, options.prefault);
+    auto mapped = SnapshotMapping::Open(path);
     if (!mapped.ok()) return mapped.status();
     mapping = std::move(mapped).value();
     const char* base = mapping->data();
@@ -887,15 +776,14 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
     const uint64_t num_shards = h.num_shards;
     const uint64_t dir_bytes =
         num_shards * kDirEntryBytes + kCoverageEntryBytes;
-    const uint64_t seeds_end =
-        kHeaderBytes + kExtBytes + h.num_seeds * sizeof(NodeId);
-    if (ext.dir_offset < seeds_end || ext.dir_offset > file_size ||
-        dir_bytes > file_size - ext.dir_offset) {
-      return Status::InvalidArgument("v3 snapshot directory out of bounds: " +
+    const uint64_t seeds_end = kHeaderBytes + h.num_seeds * sizeof(NodeId);
+    if (h.dir_offset < seeds_end || h.dir_offset > file_size ||
+        dir_bytes > file_size - h.dir_offset) {
+      return Status::InvalidArgument("snapshot directory out of bounds: " +
                                      path);
     }
     std::vector<ShardDir> dirs(num_shards);
-    const char* p = base + ext.dir_offset;
+    const char* p = base + h.dir_offset;
     for (uint64_t s = 0; s < num_shards; ++s) {
       dirs[s].num_graphs = ReadU64At(p);
       p += 8;
@@ -916,7 +804,7 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
     coverage.codec = ReadU32At(p + 24);
     coverage.reserved = ReadU32At(p + 28);
     Status dir_status = ValidateDirectory(dirs, coverage,
-                                          ext.dir_offset + dir_bytes,
+                                          h.dir_offset + dir_bytes,
                                           file_size, path);
     if (!dir_status.ok()) return dir_status;
 
@@ -939,11 +827,11 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
       }
       // Only compressed snapshots omit the coverage section (their shard
       // sections were refused above); a nop-coded file without one is
-      // corrupt, not merely old — the v3 writer always emits it.
+      // corrupt — the writer always emits it.
       if (CoverageAbsent(coverage) ||
           coverage.codec != static_cast<uint32_t>(SnapshotCodec::kNop)) {
         return Status::InvalidArgument(
-            "v3 snapshot has no mmap-servable coverage section: " + path);
+            "snapshot has no mmap-servable coverage section: " + path);
       }
     }
 
@@ -1095,11 +983,6 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
     session->RetainResource(std::move(mapping));
   }
   return session;
-}
-
-StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
-    const DirectedGraph& graph, const std::string& path) {
-  return LoadPoolSnapshot(graph, path, PoolLoadOptions{});
 }
 
 StatusOr<std::unique_ptr<BoostSession>> MmapPool(const DirectedGraph& graph,

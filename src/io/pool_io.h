@@ -19,25 +19,24 @@ namespace kboost {
 /// SolveForBudget with bit-identical best sets and estimates, enabling warm
 /// restarts and cross-process serving against one prepared index.
 ///
-/// Formats:
-///   v1/v2 — legacy stream formats (v2 adds the per-shard blob table). Both
-///           still load; only v2 can still be written (PoolSaveOptions::
-///           format_version = 2, for compatibility tests).
-///   v3    — the current format: each shard arena is written as eight flat
-///           uint32 sections behind a page-aligned section directory, so a
-///           nop-coded snapshot is servable directly from an mmap'd file
-///           (PoolLoadOptions::use_mmap / MmapPool) with no per-process copy,
-///           and each section block may independently be compressed by a
-///           pluggable codec (src/io/codec.h) for cold storage. Nop-coded
-///           snapshots additionally carry one pool-level coverage section —
-///           the critical sets pre-translated to global ids, shard-major —
-///           so the mmap path binds the greedy-coverage node pool in place
-///           too and warm start does no O(total_critical) re-gather.
+/// Format: each shard arena is written as eight flat uint32 sections behind
+/// a page-aligned section directory, so a nop-coded snapshot is servable
+/// directly from an mmap'd file (PoolLoadOptions::use_mmap / MmapPool) with
+/// no per-process copy, and each section block may independently be
+/// compressed by a pluggable codec (src/io/codec.h) for cold storage.
+/// Nop-coded snapshots additionally carry one pool-level coverage section —
+/// the critical sets pre-translated to global ids, shard-major — so the mmap
+/// path binds the greedy-coverage node pool in place too and warm start does
+/// no O(total_critical) re-gather. The header carries format version 3; the
+/// retired versions 1 and 2 are refused with a typed InvalidArgument.
 ///
-/// Byte order: v3 headers stamp an endianness marker and the loader rejects
+/// Byte order: headers stamp an endianness marker and the loader rejects
 /// snapshots written on a different-endianness host with a typed Status.
-/// v1/v2 snapshots predate the marker and are assumed host-endian (the magic
-/// does NOT detect a byte-order mismatch — one more reason to re-save as v3).
+///
+/// Publication: a save writes a temporary file next to the target, fsyncs
+/// it and renames it over the target, so a reader (or a live mapping of the
+/// old file) only ever sees a complete snapshot, and a failed save leaves
+/// the target untouched.
 ///
 /// Thread count precedence: the header records the writer's num_threads as
 /// provenance only. The loader clamps it into [1, ThreadPool::kMaxWorkers]
@@ -50,9 +49,6 @@ struct PoolSaveOptions {
   /// directory). kNop keeps the file mmap-servable; kVarint shrinks it for
   /// cold storage at the cost of a decode-on-load into owned arenas.
   SnapshotCodec codec = SnapshotCodec::kNop;
-  /// 3 writes the current format; 2 writes the legacy v2 stream format
-  /// (which ignores `codec` — v2 has no codec seam).
-  uint32_t format_version = 3;
 };
 
 /// What a save produced. num_samples is θ — every sampled PRR-graph,
@@ -65,7 +61,7 @@ struct PoolSaveResult {
 
 /// How to load a snapshot.
 struct PoolLoadOptions {
-  /// Serve the arenas directly from an mmap of the file (v3 nop-coded
+  /// Serve the arenas directly from an mmap of the file (nop-coded
   /// full-mode snapshots only — anything else is a typed FailedPrecondition).
   /// Warm start becomes ~O(validate directory) instead of O(bytes), and the
   /// page cache shares the arena across every process mapping it.
@@ -79,25 +75,19 @@ struct PoolLoadOptions {
   /// cross-checks the pool-level coverage section against the arenas'
   /// critical sets.
   bool verify_mapped = false;
-  /// Prefault the mapping (MAP_POPULATE) so validation and first solves hit
-  /// resident pages instead of taking one fault per 4 KiB. On by default —
-  /// it turns hundreds of page faults into one syscall for warm-start-size
-  /// pools. Turn it off to page lazily when the snapshot is larger than RAM
-  /// (the scenario mmap serving exists for).
-  bool prefault = true;
 };
 
 /// RAII read-only mmap of a snapshot file. External (mmap-backed) PrrStores
 /// alias this memory, so the mapping must outlive every session serving from
-/// it; the v3 mmap loader enforces that by handing the returned shared_ptr to
+/// it; the mmap loader enforces that by handing the returned shared_ptr to
 /// BoostSession::RetainResource, which transitively pins it for as long as
 /// any pool entry holds the session.
 class SnapshotMapping {
  public:
-  /// `prefault` maps with MAP_POPULATE (where available): the whole file is
-  /// paged in by one syscall instead of on-demand faults.
+  /// Maps with MAP_POPULATE (where available): the whole file is paged in
+  /// by one syscall instead of one fault per touched 4 KiB.
   static StatusOr<std::shared_ptr<SnapshotMapping>> Open(
-      const std::string& path, bool prefault = false);
+      const std::string& path);
 
   SnapshotMapping(const SnapshotMapping&) = delete;
   SnapshotMapping& operator=(const SnapshotMapping&) = delete;
@@ -113,25 +103,18 @@ class SnapshotMapping {
   size_t len_ = 0;
 };
 
-/// Writes the session's pool to `path`. The session must be prepared()
-/// (BoostSession::SavePool prepares and delegates here).
+/// Atomically publishes the session's pool at `path` (see Publication
+/// above). The session must be prepared() — call Prepare() first.
 StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
                                           const std::string& path,
-                                          const PoolSaveOptions& options);
-
-/// Compatibility shim: v3 nop-coded save, discarding the result details.
-Status SavePoolSnapshot(const BoostSession& session, const std::string& path);
+                                          const PoolSaveOptions& options = {});
 
 /// Restores a session from a snapshot taken against a graph with the same
 /// node count. Seeds and BoostOptions come from the snapshot; the returned
 /// session is prepared() and never resamples.
 StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
     const DirectedGraph& graph, const std::string& path,
-    const PoolLoadOptions& options);
-
-/// Compatibility shim: owned (copying) load with default options.
-StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
-    const DirectedGraph& graph, const std::string& path);
+    const PoolLoadOptions& options = {});
 
 /// Zero-copy warm start: LoadPoolSnapshot with use_mmap = true.
 StatusOr<std::unique_ptr<BoostSession>> MmapPool(const DirectedGraph& graph,

@@ -207,11 +207,14 @@ StatusOr<std::unique_ptr<KboostServer>> KboostServer::Start(
   if (Status s = SetNonBlocking(server->wake_read_fd_); !s.ok()) return s;
   if (Status s = SetNonBlocking(server->wake_write_fd_); !s.ok()) return s;
 
-  server->io_thread_ = std::thread([raw = server.get()] { raw->EventLoop(); });
+  // Workers first: the event loop's drain joins every entry of workers_, so
+  // the vector must be complete before that thread starts (thread creation
+  // is the happens-before edge).
   server->workers_.reserve(options.num_workers);
   for (int i = 0; i < options.num_workers; ++i) {
     server->workers_.emplace_back([raw = server.get()] { raw->WorkerLoop(); });
   }
+  server->io_thread_ = std::thread([raw = server.get()] { raw->EventLoop(); });
   return server;
 }
 

@@ -71,7 +71,8 @@ TEST_F(ChaosTest, SnapshotLoadRetriesTransientFaultsUntilSuccess) {
   DirectedGraph g = MakeTestGraph();
   const std::string path = TempPath("kboost_chaos_retry.pool");
   BoostSession reference(g, {0, 1}, MakeOptions(6));
-  ASSERT_TRUE(reference.SavePool(path).ok());
+  reference.Prepare();
+  ASSERT_TRUE(SavePoolSnapshot(reference, path).ok());
   const BoostResult expect = reference.SolveForBudget(4);
 
   // The open fails twice, then heals — the classic transient fault shape.
@@ -106,7 +107,8 @@ TEST_F(ChaosTest, SnapshotLoadGivesUpTypedAfterMaxAttempts) {
   DirectedGraph g = MakeTestGraph();
   const std::string path = TempPath("kboost_chaos_giveup.pool");
   BoostSession reference(g, {0, 1}, MakeOptions(6));
-  ASSERT_TRUE(reference.SavePool(path).ok());
+  reference.Prepare();
+  ASSERT_TRUE(SavePoolSnapshot(reference, path).ok());
 
   FaultInjector::Plan plan;
   plan.fail_first = 100;  // never heals within the budget
@@ -130,7 +132,8 @@ TEST_F(ChaosTest, MmapFaultsRetryLikeStreamFaults) {
   DirectedGraph g = MakeTestGraph();
   const std::string path = TempPath("kboost_chaos_mmap.pool");
   BoostSession reference(g, {0, 1}, MakeOptions(6));
-  ASSERT_TRUE(reference.SavePool(path).ok());
+  reference.Prepare();
+  ASSERT_TRUE(SavePoolSnapshot(reference, path).ok());
 
   FaultInjector::Plan plan;
   plan.fail_first = 1;
@@ -157,7 +160,8 @@ TEST_F(ChaosTest, AllocationPressureSurfacesAsResourceExhaustedAndRetries) {
   DirectedGraph g = MakeTestGraph();
   const std::string path = TempPath("kboost_chaos_alloc.pool");
   BoostSession reference(g, {0, 1}, MakeOptions(6));
-  ASSERT_TRUE(reference.SavePool(path).ok());
+  reference.Prepare();
+  ASSERT_TRUE(SavePoolSnapshot(reference, path).ok());
 
   // Direct load: the typed status reaches the caller un-retried.
   FaultInjector::Plan plan;
@@ -207,7 +211,8 @@ TEST_F(ChaosTest, RefreshRecordsRetriesEvenWhenTheLoadUltimatelyFails) {
   DirectedGraph g = MakeTestGraph();
   const std::string path = TempPath("kboost_chaos_refresh.pool");
   BoostSession reference(g, {0, 1}, MakeOptions(6));
-  ASSERT_TRUE(reference.SavePool(path).ok());
+  reference.Prepare();
+  ASSERT_TRUE(SavePoolSnapshot(reference, path).ok());
 
   BoostService::Options options;
   options.snapshot_retry.max_attempts = 2;

@@ -832,6 +832,34 @@ TEST_F(NetServerTest, RemoteShutdownFrameDrainsTheServer) {
   EXPECT_FALSE(late.ok());
 }
 
+TEST_F(NetServerTest, StartThenImmediateShutdownCyclesDrainCleanly) {
+  // The event loop's drain joins every worker, so a shutdown that arrives
+  // while Start() is still spawning workers must find the full set. Cycle
+  // start -> immediate shutdown (in-process, and by SHUTDOWN frame) at 2-4
+  // workers; under TSan this is the start-up race's regression test.
+  StartService();
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    SCOPED_TRACE("cycle " + std::to_string(cycle));
+    ServerOptions options;
+    options.num_workers = 2 + cycle % 3;
+    StartServer(options);
+    if (cycle % 2 == 0) {
+      server_->RequestShutdown();
+    } else {
+      std::unique_ptr<KboostClient> client = MustConnect();
+      ASSERT_NE(client, nullptr);
+      Status acked = client->Shutdown();
+      ASSERT_TRUE(acked.ok()) << acked.ToString();
+    }
+    server_->Wait();
+    EXPECT_TRUE(server_->finished());
+    server_.reset();
+  }
+  const ServiceStatsSnapshot stats = service_->Stats();
+  EXPECT_EQ(stats.in_flight, 0u);
+  EXPECT_EQ(stats.queued, 0u);
+}
+
 TEST_F(NetServerTest, RemoteShutdownCanBeDisabled) {
   StartService();
   ServerOptions options;

@@ -451,9 +451,11 @@ TEST(BoostServiceTest, WarmStartFromSnapshotsAnswersIdentically) {
   const std::string lb_path = TempPath("kboost_serve_lb.pool");
 
   BoostSession full(g, {0, 1, 2}, MakeOptions(10));
-  ASSERT_TRUE(full.SavePool(full_path).ok());
+  full.Prepare();
+  ASSERT_TRUE(SavePoolSnapshot(full, full_path).ok());
   BoostSession lb(g, {0, 1, 2}, MakeOptions(10), /*lb_only=*/true);
-  ASSERT_TRUE(lb.SavePool(lb_path).ok());
+  lb.Prepare();
+  ASSERT_TRUE(SavePoolSnapshot(lb, lb_path).ok());
 
   BoostService::Options options;
   options.warm_pools = {{"full", full_path}, {"lb", lb_path}};
@@ -516,7 +518,8 @@ TEST(BoostServiceTest, AddPoolAppliesServiceThreadDefault) {
   // LoadPool keeps applying it (it always did).
   const std::string path = TempPath("kboost_serve_threads.pool");
   BoostSession to_save(g, {0, 1}, MakeOptions(4));
-  ASSERT_TRUE(to_save.SavePool(path).ok());
+  to_save.Prepare();
+  ASSERT_TRUE(SavePoolSnapshot(to_save, path).ok());
   ASSERT_TRUE(service.LoadPool("b", path).ok());
   EXPECT_EQ(service.GetPool("b")->options().num_threads, 3);
   std::remove(path.c_str());

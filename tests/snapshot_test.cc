@@ -1,11 +1,15 @@
-// Tests for the v3 zero-copy snapshot layout (src/io/pool_io) and the
+// Tests for the zero-copy snapshot layout (src/io/pool_io) and the
 // pluggable section codecs (src/io/codec): codec round trips on adversarial
 // streams, mmap-vs-owned bit-identity, structural rejection of corrupted
-// directories, endianness and thread-count header handling, and the
-// compatibility guarantees for the v2 writer.
+// directories, endianness, version and thread-count header handling, and
+// atomic publication over a live mapping.
+
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -81,9 +85,10 @@ uint64_t PeekU64(const std::string& bytes, size_t offset) {
   return value;
 }
 
-/// v3 layout landmarks for the corruption tests below: the 128-byte v2
-/// header prefix, the 32-byte extension, the seed list, then the directory
-/// (u64 num_graphs + 8 x 32-byte section entries per shard).
+/// Layout landmarks for the corruption tests below: the 128-byte header
+/// prefix, the 32-byte extension, the seed list, then the directory (u64
+/// num_graphs + 8 x 32-byte section entries per shard).
+constexpr size_t kVersionOffset = 8;      // u32 after the magic
 constexpr size_t kNumThreadsOffset = 64;  // u32 in the header prefix
 constexpr size_t kEndianOffset = 128;     // first field of the extension
 size_t DirOffset(size_t num_seeds) { return 128 + 32 + 4 * num_seeds; }
@@ -91,19 +96,21 @@ size_t SectionEntryOffset(size_t dir, size_t shard, size_t section) {
   return dir + shard * (8 + 8 * 32) + 8 + section * 32;
 }
 
+void ExpectSameResult(const BoostResult& ra, const BoostResult& rb) {
+  EXPECT_EQ(ra.best_set, rb.best_set);
+  EXPECT_EQ(ra.lb_set, rb.lb_set);
+  EXPECT_EQ(ra.delta_set, rb.delta_set);
+  EXPECT_EQ(ra.best_estimate, rb.best_estimate);
+  EXPECT_EQ(ra.lb_mu_hat, rb.lb_mu_hat);
+  EXPECT_EQ(ra.delta_delta_hat, rb.delta_delta_hat);
+  EXPECT_EQ(ra.num_samples, rb.num_samples);
+}
+
 void ExpectSameAnswers(BoostSession& a, BoostSession& b,
                        const std::vector<size_t>& budgets) {
   for (size_t k : budgets) {
     SCOPED_TRACE("k=" + std::to_string(k));
-    BoostResult ra = a.SolveForBudget(k);
-    BoostResult rb = b.SolveForBudget(k);
-    EXPECT_EQ(ra.best_set, rb.best_set);
-    EXPECT_EQ(ra.lb_set, rb.lb_set);
-    EXPECT_EQ(ra.delta_set, rb.delta_set);
-    EXPECT_EQ(ra.best_estimate, rb.best_estimate);
-    EXPECT_EQ(ra.lb_mu_hat, rb.lb_mu_hat);
-    EXPECT_EQ(ra.delta_delta_hat, rb.delta_delta_hat);
-    EXPECT_EQ(ra.num_samples, rb.num_samples);
+    ExpectSameResult(a.SolveForBudget(k), b.SolveForBudget(k));
   }
 }
 
@@ -306,20 +313,6 @@ TEST(SnapshotV3Test, MmapRejectsLbOnlySnapshots) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotV3Test, MmapRejectsLegacyV2Snapshots) {
-  DirectedGraph g = MakeTestGraph();
-  const std::string path = TempPath("kboost_v2_mmap.bin");
-  BoostSession session(g, {0, 1}, MakeOptions(5));
-  session.Prepare();
-  PoolSaveOptions v2;
-  v2.format_version = 2;
-  ASSERT_TRUE(SavePoolSnapshot(session, path, v2).status().ok());
-  StatusOr<std::unique_ptr<BoostSession>> r = MmapPool(g, path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-  std::filesystem::remove(path);
-}
-
 // ---- codec-coded snapshots ------------------------------------------------
 
 TEST(SnapshotV3Test, VarintSnapshotShrinksAndRoundTrips) {
@@ -366,25 +359,6 @@ TEST(SnapshotV3Test, SaveResultReportsBytesPerSample) {
   EXPECT_DOUBLE_EQ(saved->bytes_per_sample,
                    static_cast<double>(saved->file_bytes) /
                        static_cast<double>(saved->num_samples));
-  std::filesystem::remove(path);
-}
-
-TEST(SnapshotV3Test, V2WriterStillRoundTrips) {
-  DirectedGraph g = MakeTestGraph(43);
-  const std::string path = TempPath("kboost_v2_writer.bin");
-  BoostSession session(g, {1, 4}, MakeOptions(8, 2));
-  session.Prepare();
-  PoolSaveOptions v2;
-  v2.format_version = 2;
-  ASSERT_TRUE(SavePoolSnapshot(session, path, v2).status().ok());
-  StatusOr<std::unique_ptr<BoostSession>> loaded = LoadPoolSnapshot(g, path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectSameAnswers(session, *loaded.value(), {2, 8});
-  // And the v2 format refuses the codec seam it does not have.
-  PoolSaveOptions v2_varint;
-  v2_varint.format_version = 2;
-  v2_varint.codec = SnapshotCodec::kVarint;
-  EXPECT_FALSE(SavePoolSnapshot(session, path, v2_varint).ok());
   std::filesystem::remove(path);
 }
 
@@ -510,6 +484,23 @@ TEST_F(V3CorruptionTest, InflatedValueCountIsRejectedNotAllocated) {
   ExpectRejected("");
 }
 
+TEST_F(V3CorruptionTest, RetiredVersionsAreRefusedTyped) {
+  // Versions 1 and 2 were stream formats this build no longer reads; the
+  // version word alone must refuse them on both load paths.
+  for (uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    PokeU32(&bytes_, kVersionOffset, version);
+    ExpectRejected("unsupported pool snapshot version");
+  }
+}
+
+TEST_F(V3CorruptionTest, InflatedShardGraphCountIsRejectedNotAllocated) {
+  // A directory graph count of 2^60 must be refused before it sizes the
+  // per-graph tables.
+  PokeU64(&bytes_, dir_, uint64_t{1} << 60);
+  ExpectRejected("more graphs");
+}
+
 TEST_F(V3CorruptionTest, CriticalEntryAtSuperSeedSlotIsRejected) {
   // Local 0 is the super-seed slot; its global id is kInvalidNode, so a
   // critical entry pointing at it would feed an unvalidated id to the
@@ -552,6 +543,83 @@ TEST_F(V3CorruptionTest, NopSectionWithMismatchedSizesIsRejected) {
     PokeU64(&bytes_, entry + 16, raw - 4);
     ExpectRejected("stored != raw");
   }
+}
+
+// ---- atomic publication --------------------------------------------------
+
+TEST(SnapshotPublishTest, SaveOverAMappedSnapshotKeepsItsAnswers) {
+  // Saving onto the path a live MmapPool serves from used to rewrite the
+  // mapped pages in place (SIGSEGV on the next solve). The save now renames
+  // a new file over the path, so the mapping keeps the old inode.
+  DirectedGraph g = MakeTestGraph(59);
+  const std::string path = TempPath("kboost_publish_live.bin");
+  const std::vector<size_t> budgets = {1, 4, 8};
+  BoostSession a(g, {0, 1}, MakeOptions(8, 2));
+  ASSERT_TRUE(SaveV3(a, path).ok());
+  StatusOr<std::unique_ptr<BoostSession>> mapped_a = MmapPool(g, path);
+  ASSERT_TRUE(mapped_a.ok()) << mapped_a.status().ToString();
+  std::vector<BoostResult> before;
+  for (size_t k : budgets) before.push_back(mapped_a.value()->SolveForBudget(k));
+
+  BoostOptions b_options = MakeOptions(8, 2);
+  b_options.seed = 97;
+  BoostSession b(g, {2, 3}, b_options);
+  ASSERT_TRUE(SaveV3(b, path).ok());
+
+  for (size_t i = 0; i < budgets.size(); ++i) {
+    SCOPED_TRACE("k=" + std::to_string(budgets[i]));
+    ExpectSameResult(before[i], mapped_a.value()->SolveForBudget(budgets[i]));
+  }
+  StatusOr<std::unique_ptr<BoostSession>> mapped_b = MmapPool(g, path);
+  ASSERT_TRUE(mapped_b.ok()) << mapped_b.status().ToString();
+  EXPECT_EQ(mapped_b.value()->seeds(), std::vector<NodeId>({2, 3}));
+  ExpectSameAnswers(b, *mapped_b.value(), budgets);
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotPublishTest, FailedSaveLeavesTargetUntouchedAndNoTempFile) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("kboost_publish_fail_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "pool.bin").string();
+  DirectedGraph g = MakeTestGraph(61);
+  BoostSession old_pool(g, {0, 1}, MakeOptions(4), /*lb_only=*/true);
+  ASSERT_TRUE(SaveV3(old_pool, path).ok());
+  const std::string before = ReadFileBytes(path);
+
+  // A full-mode snapshot starts its first shard on a page boundary, so a
+  // pool with boostable graphs outgrows one page.
+  BoostSession new_pool(g, {0, 2}, MakeOptions(8, 2));
+  new_pool.Prepare();
+  ASSERT_GT(new_pool.engine().collection().num_boostable(), 0u);
+
+  // Cap this process's file size at one page so the write fails part-way
+  // (EFBIG; SIGXFSZ ignored for the duration), then restore both.
+  struct rlimit saved_limit;
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_limit), 0);
+  struct rlimit capped = saved_limit;
+  capped.rlim_cur = 4096;
+  const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  StatusOr<PoolSaveResult> saved = SavePoolSnapshot(new_pool, path);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved_limit), 0);
+  std::signal(SIGXFSZ, saved_handler);
+
+  ASSERT_FALSE(saved.ok());
+  EXPECT_EQ(saved.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ReadFileBytes(path), before);
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>({"pool.bin"}));
+  // The untouched target still loads as the old pool.
+  StatusOr<std::unique_ptr<BoostSession>> loaded = LoadPoolSnapshot(g, path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded.value()->lb_only());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
