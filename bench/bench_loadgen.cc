@@ -514,7 +514,9 @@ int main(int argc, char** argv) {
   // ---- Scenario 2: admission overload through the wire ----
   // 6 workers race 8 closed-loop clients into a 2+2 admission budget, so
   // some Solve calls are shed: the typed ResourceExhausted must cross the
-  // wire as a reply frame, never as a dropped connection.
+  // wire as a reply frame, never as a dropped connection. Answers are O(k)
+  // table slices, so a 5 ms stall at solve entry keeps the budget saturated
+  // (as in the deadline storm below).
   {
     BoostService::Options options;
     options.max_in_flight = 2;
@@ -532,8 +534,12 @@ int main(int argc, char** argv) {
         start_server(service->get(), server_options);
     const size_t clients = 8, per_client = 12;
     const size_t issued = clients * per_client;
+    FaultInjector::Plan slow;
+    slow.delay_micros = 5000;
+    FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
     NetOutcome o = RunNetStorm(host, server->port(), requests, reference,
                                lb_reference, clients, per_client);
+    FaultInjector::Global().DisarmAll();
     GateOrAbort("admission overload", (*service)->Stats(), o, issued);
     const ServiceStatsSnapshot stats = (*service)->Stats();
     if (o.shed == 0 || stats.shed != o.shed || o.degraded != 0) {
@@ -556,6 +562,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- Scenario 3: graceful degradation through the wire ----
+  // The same saturated budget (and solve-entry stall) with
+  // degrade_load_factor 0.5: kAuto answers degrade to the LB order.
   {
     BoostService::Options options;
     options.max_in_flight = 2;
@@ -574,8 +582,12 @@ int main(int argc, char** argv) {
         start_server(service->get(), server_options);
     const size_t clients = 8, per_client = 12;
     const size_t issued = clients * per_client;
+    FaultInjector::Plan slow;
+    slow.delay_micros = 5000;
+    FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);
     NetOutcome o = RunNetStorm(host, server->port(), requests, reference,
                                lb_reference, clients, per_client);
+    FaultInjector::Global().DisarmAll();
     GateOrAbort("degrade storm", (*service)->Stats(), o, issued);
     if (o.degraded == 0) {
       std::fprintf(stderr,

@@ -212,6 +212,12 @@ int main(int argc, char** argv) {
                       "degraded", "qps"});
   BenchJsonWriter json;
 
+  // Answers are O(k) slices of the pool's answer tables, so a storm only
+  // keeps the admission budget saturated if each solve holds its slot a
+  // while: scenarios 1 and 2 stall every solve 2 ms at entry.
+  FaultInjector::Plan saturating;
+  saturating.delay_micros = 2000;
+
   // ---- Scenario 1: pure admission overload (no deadlines, no degrade) ----
   {
     BoostService::Options options;
@@ -225,8 +231,10 @@ int main(int argc, char** argv) {
     }
     const BoostService& service = **service_or;
     const size_t issued = kClients * kPerClient;
+    FaultInjector::Global().Arm(FaultSite::kSolveStart, saturating);
     StormOutcome o = RunStorm(service, requests, reference, lb_reference,
                               kClients, kPerClient);
+    FaultInjector::Global().DisarmAll();
     GateOrAbort("admission overload", service, o, issued);
     const ServiceStatsSnapshot stats = service.Stats();
     if (o.shed == 0 || stats.shed != o.shed ||
@@ -280,8 +288,10 @@ int main(int argc, char** argv) {
     }
     const BoostService& service = **service_or;
     const size_t issued = kClients * kPerClient;
+    FaultInjector::Global().Arm(FaultSite::kSolveStart, saturating);
     StormOutcome o = RunStorm(service, requests, reference, lb_reference,
                               kClients, kPerClient);
+    FaultInjector::Global().DisarmAll();
     GateOrAbort("degradation storm", service, o, issued);
     const ServiceStatsSnapshot stats = service.Stats();
     if (o.degraded == 0 || stats.pools[0].degraded != o.degraded) {
@@ -320,7 +330,7 @@ int main(int argc, char** argv) {
     }
     const BoostService& service = **service_or;
     // Stall every solve 10 ms at entry so the 2 ms default deadline cannot
-    // be met — the deterministic way to exercise mid-solve expiry.
+    // be met — the deterministic way to exercise expiry at solve start.
     FaultInjector::Plan slow;
     slow.delay_micros = 10000;
     FaultInjector::Global().Arm(FaultSite::kSolveStart, slow);

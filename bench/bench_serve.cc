@@ -12,7 +12,7 @@
 // refresh-under-load scenario hot-swaps the pool (RefreshPool) beneath 4
 // live client threads and aborts on any NotFound, divergence or version
 // regression; a final mmap warm-swap scenario snapshots the live pool to a
-// v3 file and RefreshPoolFromSnapshot-s it back in as a ZERO-COPY mmap-served
+// nop-coded file and RefreshPoolFromSnapshot-s it back in as a ZERO-COPY mmap-served
 // pool (the service runs with Options::mmap_pools = true) under the same
 // 4-client load and gates — plus an assert that the swapped-in arenas really
 // are externally backed.
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   const DirectedGraph& g = instance.dataset.graph;
 
   // mmap_pools routes every snapshot load (the mmap warm-swap scenario at
-  // the end) through the zero-copy v3 path; directly AddPool-ed sessions
+  // the end) through the zero-copy path; directly AddPool-ed sessions
   // are unaffected.
   BoostService::Options service_options;
   service_options.mmap_pools = true;
@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
     json.Add("serve/refresh_rebuild_s", rebuild_s, "s");
   }
 
-  // Mmap warm-swap under load: snapshot the live pool to a v3 file, then
+  // Mmap warm-swap under load: snapshot the live pool to a file, then
   // RefreshPoolFromSnapshot it back in beneath the same 4-client load. With
   // mmap_pools = true the swapped-in session serves its arenas zero-copy
   // straight out of the mapped file, so this gates the whole mmap lifecycle
@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
                      saved.status().ToString().c_str());
         std::abort();
       }
-      std::printf("\nmmap warm-swap: saved v3 snapshot (%llu bytes, "
+      std::printf("\nmmap warm-swap: saved snapshot (%llu bytes, "
                   "%.2f B/sample)\n",
                   static_cast<unsigned long long>(saved->file_bytes),
                   saved->bytes_per_sample);

@@ -1,7 +1,7 @@
 // Sweeps the pool shard count S over one fixed workload and measures what
 // sharding buys: prepare (sample + warm) wall time, snapshot save wall time
 // and size (bytes + bytes/sample), and cold (owned-arena) vs mmap
-// (zero-copy v3) load wall time, plus the per-shard stored-graph balance.
+// (zero-copy) load wall time, plus the per-shard stored-graph balance.
 // At every S the solve answers are compared bit-identically against the
 // S = 1 monolith — the process ABORTS on divergence, so this bench doubles
 // as a Release-mode regression gate for the sharding determinism guarantee

@@ -80,9 +80,8 @@ int main() {
   // answers below must reproduce these bits exactly.
   std::vector<BoostResult> reference;
   {
-    SolveContext context;
     for (const BoostRequest& request : requests) {
-      StatusOr<BoostResponse> r = service.Solve(request, &context);
+      StatusOr<BoostResponse> r = service.Solve(request);
       if (!r.ok()) {
         std::fprintf(stderr, "serial query failed: %s\n",
                      r.status().ToString().c_str());
@@ -98,9 +97,8 @@ int main() {
   std::vector<std::thread> clients;
   for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      SolveContext context;  // per-client scratch, kept warm across queries
       for (size_t i = c; i < requests.size(); i += kClients) {
-        StatusOr<BoostResponse> r = service.Solve(requests[i], &context);
+        StatusOr<BoostResponse> r = service.Solve(requests[i]);
         if (!r.ok()) {
           std::fprintf(stderr, "query failed: %s\n",
                        r.status().ToString().c_str());

@@ -7,11 +7,12 @@
 // Wire seeds are one valid frame of every type plus one instance of each
 // header rejection (bad magic / version / flags / type / oversized length /
 // truncation) — the decoder-hardening matrix from tests/net_test.cc as
-// files. Snapshot seeds are v3-nop / v3-varint / v2 snapshots of one tiny
-// fixed pool (the same graph fuzz_snapshot.cc loads against) plus one file
-// per corruption-matrix case from tests/snapshot_test.cc, so the mutation
-// fuzzer starts at the validator's known edges instead of rediscovering
-// them from garbage.
+// files. Snapshot seeds are nop- and varint-coded snapshots of one tiny
+// fixed pool (the same graph fuzz_snapshot.cc loads against), the same
+// bytes under retired version words, plus one file per corruption-matrix
+// case from tests/snapshot_test.cc and tests/answer_table_test.cc, so the
+// mutation fuzzer starts at the validator's known edges instead of
+// rediscovering them from garbage.
 
 #include <cstdint>
 #include <cstring>
@@ -184,13 +185,17 @@ DirectedGraph CorpusGraph() {
 
 // Snapshot layout landmarks (tests/snapshot_test.cc documents the layout):
 // the 128-byte header prefix, the 32-byte extension, the seed list, then the
-// per-shard section directory.
+// per-shard section directory, the coverage entry and the answer table
+// entry.
 constexpr size_t kVersionOffset = 8;
 constexpr size_t kNumThreadsOffset = 64;
 constexpr size_t kEndianOffset = 128;
 size_t DirOffset(size_t num_seeds) { return 128 + 32 + 4 * num_seeds; }
 size_t SectionEntryOffset(size_t dir, size_t shard, size_t section) {
   return dir + shard * (8 + 8 * 32) + 8 + section * 32;
+}
+size_t TableEntryOffset(size_t dir, size_t num_shards) {
+  return dir + num_shards * (8 + 8 * 32) + 32;
 }
 
 void GenerateSnapshotCorpus(const fs::path& dir) {
@@ -219,54 +224,57 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
                        std::istreambuf_iterator<char>());
   };
 
-  const std::string v3_nop = save_bytes(SnapshotCodec::kNop);
-  const std::string v3_varint = save_bytes(SnapshotCodec::kVarint);
+  const std::string v4_nop = save_bytes(SnapshotCodec::kNop);
+  const std::string v4_varint = save_bytes(SnapshotCodec::kVarint);
   fs::remove(scratch);
 
-  WriteCase(dir, "v3_nop.bin", v3_nop);
-  WriteCase(dir, "v3_varint.bin", v3_varint);
+  WriteCase(dir, "v4_nop.bin", v4_nop);
+  WriteCase(dir, "v4_varint.bin", v4_varint);
 
-  // A valid snapshot whose version word names a retired format: refused
-  // typed by the version check alone.
-  std::string retired = v3_nop;
+  // Valid snapshots whose version word names a retired format (2: a stream
+  // format; 3: no answer table): refused typed by the version check alone.
+  std::string retired = v4_nop;
   PokeU32(&retired, kVersionOffset, 2);
   WriteCase(dir, "retired_version.bin", retired);
+  PokeU32(&retired, kVersionOffset, 3);
+  WriteCase(dir, "retired_version_3.bin", retired);
 
-  // The PR 9 corruption matrix as seed files: each is the valid v3-nop
-  // snapshot with one structural lie, mirroring tests/snapshot_test.cc.
+  // The structural corruption matrix as seed files: each is the valid
+  // nop-coded snapshot with one structural lie, mirroring
+  // tests/snapshot_test.cc.
   const size_t d = DirOffset(seeds.size());
-  KB_CHECK(v3_nop.size() > SectionEntryOffset(d, 1, 7) + 32);
+  KB_CHECK(v4_nop.size() > SectionEntryOffset(d, 1, 7) + 32);
 
-  WriteCase(dir, "truncated.bin", v3_nop.substr(0, v3_nop.size() - 5));
-  WriteCase(dir, "truncated_header.bin", v3_nop.substr(0, 40));
+  WriteCase(dir, "truncated.bin", v4_nop.substr(0, v4_nop.size() - 5));
+  WriteCase(dir, "truncated_header.bin", v4_nop.substr(0, 40));
 
-  std::string misaligned = v3_nop;
+  std::string misaligned = v4_nop;
   const size_t entry0 = SectionEntryOffset(d, 0, 0);
   PokeU64(&misaligned, entry0, PeekU64(misaligned, entry0) + 2);
   WriteCase(dir, "misaligned_section.bin", misaligned);
 
-  std::string overlapping = v3_nop;
+  std::string overlapping = v4_nop;
   PokeU64(&overlapping, SectionEntryOffset(d, 0, 1),
           PeekU64(overlapping, SectionEntryOffset(d, 0, 0)));
   WriteCase(dir, "overlapping_sections.bin", overlapping);
 
-  std::string overstated = v3_nop;
+  std::string overstated = v4_nop;
   PokeU64(&overstated, SectionEntryOffset(d, 0, 2) + 8, uint64_t{1} << 60);
   WriteCase(dir, "overstated_section.bin", overstated);
 
-  std::string bad_codec = v3_nop;
+  std::string bad_codec = v4_nop;
   PokeU32(&bad_codec, SectionEntryOffset(d, 0, 0) + 24, 77);
   WriteCase(dir, "unknown_codec.bin", bad_codec);
 
-  std::string inflated = v3_nop;
+  std::string inflated = v4_nop;
   PokeU64(&inflated, SectionEntryOffset(d, 0, 5) + 16, uint64_t{1} << 40);
   WriteCase(dir, "inflated_value_count.bin", inflated);
 
-  std::string inflated_graphs = v3_nop;
+  std::string inflated_graphs = v4_nop;
   PokeU64(&inflated_graphs, d, uint64_t{1} << 60);  // shard 0's num_graphs
   WriteCase(dir, "inflated_graph_count.bin", inflated_graphs);
 
-  std::string nop_mismatch = v3_nop;
+  std::string nop_mismatch = v4_nop;
   const size_t entry5 = SectionEntryOffset(d, 0, 5);
   const uint64_t raw = PeekU64(nop_mismatch, entry5 + 16);
   if (raw >= 8) {
@@ -274,11 +282,11 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
     WriteCase(dir, "nop_size_mismatch.bin", nop_mismatch);
   }
 
-  std::string byteswapped = v3_nop;
+  std::string byteswapped = v4_nop;
   PokeU32(&byteswapped, kEndianOffset, 0x04030201u);
   WriteCase(dir, "endian_mismatch.bin", byteswapped);
 
-  std::string wild_threads = v3_nop;
+  std::string wild_threads = v4_nop;
   PokeU32(&wild_threads, kNumThreadsOffset, 0xFFFFFFFFu);
   WriteCase(dir, "wild_thread_count.bin", wild_threads);
 
@@ -286,7 +294,7 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
   // first ran. (1) A critical entry pointing at the super-seed slot (local
   // 0) used to pass deep validation and smuggle the slot's kInvalidNode
   // global id into the coverage index — a segfault at first solve.
-  std::string superseed_critical = v3_nop;
+  std::string superseed_critical = v4_nop;
   const size_t crit_entry = SectionEntryOffset(d, 0, 7);
   const uint64_t crit_off = PeekU64(superseed_critical, crit_entry);
   PokeU32(&superseed_critical, crit_off, 0);
@@ -295,9 +303,50 @@ void GenerateSnapshotCorpus(const fs::path& dir) {
   // (2) A corrupt header ℓ (offset 40) used to reach the trusting
   // BoostSession constructor and abort the process via KB_CHECK instead of
   // being rejected typed.
-  std::string zero_ell = v3_nop;
+  std::string zero_ell = v4_nop;
   PokeU64(&zero_ell, 40, 0);  // 0.0 ℓ — Validate() must reject, not abort
   WriteCase(dir, "zero_ell.bin", zero_ell);
+
+  // The answer table rejections (tests/answer_table_test.cc): the table
+  // section is u64 L, u64 L_lb, u32 order[L], u64 prefix[L],
+  // u64 lb_prefix[L_lb].
+  const DeltaTable& table = session.engine().delta_table();
+  const size_t order_len = table.order.size();
+  KB_CHECK(order_len >= 2 && !table.lb_prefix_activated.empty());
+  const size_t t_entry = TableEntryOffset(d, options.num_shards);
+  const size_t t_off = PeekU64(v4_nop, t_entry);
+  const auto order_at = [&](size_t i) { return t_off + 16 + 4 * i; };
+  const auto prefix_at = [&](size_t i) {
+    return t_off + 16 + 4 * order_len + 8 * i;
+  };
+  const auto table_case = [&](const std::string& name, auto&& poke) {
+    std::string bytes = v4_nop;
+    poke(&bytes);
+    WriteCase(dir, name, bytes);
+  };
+  table_case("table_node_out_of_range.bin", [&](std::string* b) {
+    PokeU32(b, order_at(0), graph.num_nodes());
+  });
+  table_case("table_seed_id.bin",
+             [&](std::string* b) { PokeU32(b, order_at(0), seeds[1]); });
+  table_case("table_duplicate_id.bin", [&](std::string* b) {
+    PokeU32(b, order_at(1), table.order[0]);
+  });
+  table_case("table_decreasing_counts.bin", [&](std::string* b) {
+    PokeU64(b, prefix_at(order_len - 1), 0);
+  });
+  table_case("table_counts_over_boostable.bin", [&](std::string* b) {
+    PokeU64(b, prefix_at(order_len - 1),
+            session.engine().collection().num_boostable() + 1);
+  });
+  table_case("table_lb_length_mismatch.bin", [&](std::string* b) {
+    PokeU64(b, t_off + 8, table.lb_prefix_activated.size() - 1);
+    PokeU64(b, t_entry + 8, PeekU64(*b, t_entry + 8) - 8);
+    PokeU64(b, t_entry + 16, PeekU64(*b, t_entry + 16) - 8);
+  });
+  table_case("table_out_of_bounds.bin", [&](std::string* b) {
+    PokeU64(b, t_entry, b->size());
+  });
 }
 
 }  // namespace

@@ -13,25 +13,21 @@ namespace kboost {
 /// The serving-layer entry point: one prepared PRR-graph pool, many budget
 /// queries. Where PrrBoost()/PrrBoostLb() sample a fresh pool per call, a
 /// BoostSession samples once at its maximum budget (`options.k`, the session
-/// budget) and then answers any budget k ≤ budget() with selection work
-/// only:
-///
-/// - LB mode: greedy on the submodular μ̂ yields nested solutions, so every
-///   budget's answer is a prefix slice of one cached greedy order — O(k)
-///   per query after the first.
-/// - Full mode: only the Δ̂ greedy re-runs per budget (its gains are not
-///   monotone in B); the pool, the LB order and all estimators are reused.
+/// budget) and then answers any budget k ≤ budget() in O(k): both of
+/// Algorithm 2's candidate orders are nested in k, so every answer is a
+/// prefix slice of the cached μ̂ greedy order and — in full mode — of the
+/// DeltaTable (the Δ̂ greedy order plus Δ̂ of every prefix of both orders),
+/// built once per pool by Prepare().
 ///
 /// Two query surfaces share that machinery:
 ///
-/// - SolveForBudget(k): the serial sweep API. Samples lazily, aborts on a
-///   bad budget, reuses session-owned scratch. NOT safe to call from more
-///   than one thread.
+/// - SolveForBudget(k): the serial sweep API. Samples and builds the tables
+///   lazily, aborts on a bad budget. NOT safe to call from more than one
+///   thread.
 /// - Solve(spec): the concurrent serving API. Requires Prepare() (which
 ///   freezes the pool read-only), validates the request and returns
 ///   StatusOr. Any number of threads may Solve() against one prepared
-///   session simultaneously — each call brings its own SolveContext (or
-///   lets the call allocate one) — with results bit-identical to the serial
+///   session simultaneously, with results bit-identical to the serial
 ///   loop. BoostService (src/serve) serves a registry of named prepared
 ///   sessions through exactly this surface.
 ///
@@ -61,8 +57,9 @@ class BoostSession {
                const BoostOptions& options, bool lb_only = false);
 
   /// Samples the pool at budget() via the IMM schedule, warms every lazily
-  /// built read-only index and caches the LB greedy order, making the
-  /// session ready for concurrent Solve() calls. Idempotent; also called
+  /// built read-only index and builds the answer tables (the LB greedy
+  /// order; in full mode the DeltaTable too), making the session ready for
+  /// concurrent Solve() calls. Idempotent; also called
   /// lazily by SolveForBudget — call eagerly to front-load the expensive
   /// part (e.g. at server startup or before SavePoolSnapshot).
   void Prepare();
@@ -74,9 +71,8 @@ class BoostSession {
   /// Concurrent serving path: answers `spec` against the prepared pool,
   /// touching no session-owned mutable state. Safe to call from any number
   /// of threads once Prepare() has run; bit-identical to SolveForBudget for
-  /// the same (k, mode). Pass a per-query `context` to keep selection
-  /// scratch warm across sequential queries; the single-argument overload
-  /// allocates one per call.
+  /// the same (k, mode). `context` is accepted for API stability and
+  /// unused (see SolveContext).
   StatusOr<BoostResult> Solve(const SolveSpec& spec,
                               SolveContext* context) const {
     return engine_.Solve(spec, context);

@@ -96,14 +96,84 @@ void PrrBoostEngine::AdoptPool(std::unique_ptr<PrrCollection> collection,
   sampled_ = true;
 }
 
-const PrrCollection::LbResult& PrrBoostEngine::LbGreedyOrder() {
+void PrrBoostEngine::BuildAnswerTables() {
   if (!lb_order_ready_) {
     // NodeSelectionLB at the full pool budget: maximize μ̂ by greedy
     // max-coverage over critical sets. Computed once; nested budgets slice.
     lb_order_ = collection_->SelectGreedyLowerBound(options_.k, excluded_);
     lb_order_ready_ = true;
   }
-  return lb_order_;
+  if (lb_only_ || delta_table_ready_) return;
+  // NodeSelection once at the pool budget: every smaller budget's B_Δ is a
+  // prefix of this order. The per-pick fan-out is a few graphs per pick on
+  // sampled pools, too little to amortize a worker hand-off, so the table
+  // runs serially (any thread count gives the same bits).
+  constexpr int kTableThreads = 1;
+  PrrCollection::DeltaResult greedy = collection_->SelectGreedyDelta(
+      options_.k, excluded_, kTableThreads);
+  delta_table_.order = std::move(greedy.nodes);
+  delta_table_.prefix_activated = std::move(greedy.prefix_activated);
+  // Δ̂ of every LB prefix in one incremental pass (Alg. 2 line 5 compares
+  // Δ̂(B_µ) with Δ̂(B_Δ) at each budget), padded to the pool budget so a
+  // restored table's length is checkable without recomputing the LB order.
+  std::vector<uint64_t>& lb_counts = delta_table_.lb_prefix_activated;
+  lb_counts =
+      collection_->PrefixActivated(lb_order_.nodes, excluded_, kTableThreads);
+  lb_counts.resize(options_.k, lb_counts.empty() ? 0 : lb_counts.back());
+  delta_table_ready_ = true;
+}
+
+Status PrrBoostEngine::AdoptDeltaTable(DeltaTable table) {
+  KB_CHECK(sampled_ && !lb_only_ && !serving_ready_ && !delta_table_ready_)
+      << "a DeltaTable is adopted into a restored full pool before Prepare";
+  const size_t n = graph_.num_nodes();
+  const uint64_t boostable = collection_->num_boostable();
+  if (table.order.size() > options_.k ||
+      table.prefix_activated.size() != table.order.size()) {
+    return Status::InvalidArgument(
+        "answer table order and prefix counts disagree with the pool "
+        "budget");
+  }
+  if (table.lb_prefix_activated.size() != options_.k) {
+    return Status::InvalidArgument(
+        "answer table holds " +
+        std::to_string(table.lb_prefix_activated.size()) +
+        " LB prefix counts for a pool budget of " +
+        std::to_string(options_.k));
+  }
+  std::vector<uint8_t> seen(n, 0);
+  for (const NodeId v : table.order) {
+    if (v >= n) {
+      return Status::InvalidArgument("answer table node " + std::to_string(v) +
+                                     " out of range");
+    }
+    if (excluded_[v]) {
+      return Status::InvalidArgument("answer table boosts seed " +
+                                     std::to_string(v));
+    }
+    if (seen[v]) {
+      return Status::InvalidArgument("answer table repeats node " +
+                                     std::to_string(v));
+    }
+    seen[v] = 1;
+  }
+  const auto counts_valid = [boostable](const std::vector<uint64_t>& counts) {
+    uint64_t prev = 0;
+    for (const uint64_t c : counts) {
+      if (c < prev || c > boostable) return false;
+      prev = c;
+    }
+    return true;
+  };
+  if (!counts_valid(table.prefix_activated) ||
+      !counts_valid(table.lb_prefix_activated)) {
+    return Status::InvalidArgument(
+        "answer table prefix counts decrease or exceed the boostable "
+        "samples");
+  }
+  delta_table_ = std::move(table);
+  delta_table_ready_ = true;
+  return Status::Ok();
 }
 
 BoostResult PrrBoostEngine::Run() { return SolveForBudget(options_.k); }
@@ -113,18 +183,15 @@ void PrrBoostEngine::Prepare() {
   EnsureSampled();
   // Concurrent const Solve() calls must never take a lazy-build path: warm
   // every inverted index (per-shard builds fan out over the workers) and
-  // cache the LB greedy order now, while this thread still has the engine
+  // build the answer tables now, while this thread still has the engine
   // exclusively.
   collection_->WarmIndexes(options_.num_threads);
-  LbGreedyOrder();
+  BuildAnswerTables();
   serving_ready_ = true;
 }
 
-BoostResult PrrBoostEngine::SolvePrepared(size_t k, bool lb_answer,
-                                          int num_threads,
-                                          ShardedEvalState* eval_state,
-                                          StopToken* stop) const {
-  KB_DCHECK(sampled_ && lb_order_ready_);
+BoostResult PrrBoostEngine::SolvePrepared(size_t k, bool lb_answer) const {
+  KB_DCHECK(sampled_ && lb_order_ready_ && (lb_only_ || delta_table_ready_));
   BoostResult result;
   result.pool_budget = options_.k;
 
@@ -136,18 +203,16 @@ BoostResult PrrBoostEngine::SolvePrepared(size_t k, bool lb_answer,
     result.best_set = result.lb_set;
     result.best_estimate = result.lb_mu_hat;
   } else {
-    // NodeSelection: greedy on Δ̂ directly, reusing the same pool. Not
-    // nested in k (Δ̂ gains are non-monotone), so selection re-runs per k.
-    PrrCollection::DeltaResult dr = collection_->SelectGreedyDelta(
-        k, excluded_, num_threads, eval_state, stop);
-    if (dr.cancelled || dr.deadline_exceeded) return result;
-    result.delta_set = std::move(dr.nodes);
-    result.delta_delta_hat = dr.delta_hat;
-    // One more phase remains (Δ̂ of the LB set); poll between phases so a
-    // deadline that passed during selection is honored before more work.
-    if (stop != nullptr && stop->ShouldStop()) return result;
-    result.lb_delta_hat =
-        collection_->EstimateDelta(result.lb_set, num_threads);
+    // NodeSelection's B_Δ and both Δ̂ values, read from the table: Δ̂ of the
+    // empty set is Δ̂ of zero activated samples.
+    const DeltaTable& table = delta_table_;
+    const size_t take_delta = std::min(k, table.order.size());
+    result.delta_set.assign(table.order.begin(),
+                            table.order.begin() + take_delta);
+    result.delta_delta_hat = collection_->DeltaHat(
+        take_delta > 0 ? table.prefix_activated[take_delta - 1] : 0);
+    result.lb_delta_hat = collection_->DeltaHat(
+        take > 0 ? table.lb_prefix_activated[take - 1] : 0);
     // Sandwich pick: the better of B_µ and B_Δ under Δ̂ (Alg. 2 line 5).
     if (result.lb_delta_hat >= result.delta_delta_hat) {
       result.best_set = result.lb_set;
@@ -191,18 +256,33 @@ BoostResult PrrBoostEngine::SolveForBudget(size_t k) {
   const double sampling_seconds = sampling_timer.Seconds();
 
   WallTimer selection_timer;
-  LbGreedyOrder();
-  BoostResult result =
-      SolvePrepared(k, lb_only_, options_.num_threads,
-                    &serial_context_.eval_state, /*stop=*/nullptr);
+  BuildAnswerTables();
+  BoostResult result = SolvePrepared(k, lb_only_);
   result.sampling_seconds = sampling_seconds;
   result.pool_reused = had_pool;
   result.selection_seconds = selection_timer.Seconds();
   return result;
 }
 
+namespace {
+
+/// The request's stop condition at one poll point, or Ok: the cancel flag
+/// first, then the deadline.
+Status PollStop(const SolveSpec& spec, const char* when) {
+  if (spec.cancel != nullptr && spec.cancel->load(std::memory_order_relaxed)) {
+    return Status::Cancelled(std::string("request cancelled ") + when);
+  }
+  if (spec.deadline_ns > 0 && SteadyNowNanos() >= spec.deadline_ns) {
+    return Status::DeadlineExceeded(std::string("request deadline passed ") +
+                                    when);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 StatusOr<BoostResult> PrrBoostEngine::Solve(const SolveSpec& spec,
-                                            SolveContext* context) const {
+                                            SolveContext* /*context*/) const {
   if (!serving_ready_) {
     return Status::FailedPrecondition(
         "pool is not prepared for serving; call Prepare() first");
@@ -227,33 +307,21 @@ StatusOr<BoostResult> PrrBoostEngine::Solve(const SolveSpec& spec,
       }
       break;
   }
-  const int num_threads =
-      spec.num_threads == 0 ? options_.num_threads : spec.num_threads;
-  if (num_threads < 1 || num_threads > ThreadPool::kMaxWorkers) {
+  if (spec.num_threads != 0 &&
+      (spec.num_threads < 1 || spec.num_threads > ThreadPool::kMaxWorkers)) {
     return Status::InvalidArgument(
         "request num_threads must be 0 (pool default) or in [1, " +
         std::to_string(ThreadPool::kMaxWorkers) + "], got " +
         std::to_string(spec.num_threads));
   }
-  StopToken stop(spec.cancel, spec.deadline_ns);
-  if (stop.ShouldStop()) {
-    return stop.cancelled()
-               ? Status::Cancelled("request cancelled before selection started")
-               : Status::DeadlineExceeded(
-                     "request deadline passed before selection started");
-  }
+  if (Status s = PollStop(spec, "before the solve started"); !s.ok()) return s;
   MaybeInjectFaultDelay(FaultSite::kSolveStart);
+  // A cancel or deadline that landed during a stall at the fault site above
+  // must not be answered through.
+  if (Status s = PollStop(spec, "while the solve started"); !s.ok()) return s;
 
   WallTimer selection_timer;
-  BoostResult result = SolvePrepared(
-      spec.k, lb_answer, num_threads,
-      context != nullptr ? &context->eval_state : nullptr, &stop);
-  if (stop.cancelled()) {
-    return Status::Cancelled("request cancelled during selection");
-  }
-  if (stop.deadline_exceeded()) {
-    return Status::DeadlineExceeded("request deadline passed mid-selection");
-  }
+  BoostResult result = SolvePrepared(spec.k, lb_answer);
   result.pool_reused = true;
   result.selection_seconds = selection_timer.Seconds();
   return result;

@@ -59,19 +59,20 @@ enum class SolveMode {
 struct SolveSpec {
   size_t k = 0;  ///< budget; must be in [1, pool budget]
   SolveMode mode = SolveMode::kAuto;
-  /// Worker cap for this query's selection/estimator phases. 0 = the pool's
-  /// configured count; otherwise must be in [1, ThreadPool::kMaxWorkers].
+  /// Worker cap requested for this query: 0 = the pool's configured count;
+  /// otherwise must be in [1, ThreadPool::kMaxWorkers]. Validated only —
+  /// every answer is a slice of tables Prepare() built, so no query-time
+  /// phase runs on workers.
   int num_threads = 0;
-  /// Optional cooperative cancellation: polled between greedy rounds AND
-  /// every bounded stride of the per-pick Δ̂ re-evaluation scan, so even a
-  /// one-pick solve stops promptly. When it reads true the solve stops and
-  /// reports Status::Cancelled. The flag must outlive the call.
+  /// Optional cooperative cancellation, polled when the solve starts. When
+  /// it reads true the solve reports Status::Cancelled instead of
+  /// answering. The flag must outlive the call.
   const std::atomic<bool>* cancel = nullptr;
   /// Optional absolute deadline in SteadyNowNanos() time (0 = none), polled
-  /// at the same points as `cancel`. A solve that overruns stops and reports
-  /// Status::DeadlineExceeded; its partial selection is discarded, never
-  /// served. Absolute (not a duration) so queue wait and solve time draw
-  /// down the same budget when a service sets it at admission.
+  /// at the same points as `cancel`; a passed deadline reports
+  /// Status::DeadlineExceeded. Absolute (not a duration) so queue wait and
+  /// solve time draw down the same budget when a service sets it at
+  /// admission.
   int64_t deadline_ns = 0;
 };
 
@@ -112,6 +113,31 @@ struct BoostResult {
   double selection_seconds = 0.0;
 };
 
+/// A full pool's sandwich answers for every budget k ≤ the pool budget,
+/// built once by PrrBoostEngine::Prepare (and persisted in snapshots). Both
+/// of Algorithm 2's candidate orders are nested in k — the μ̂ greedy because
+/// μ̂ is submodular, the Δ̂ greedy because k is only its loop bound — so an
+/// answer is a prefix of each order plus two table reads:
+///   B_Δ(k) = order[0..k),      Δ̂(B_Δ(k)) = n·prefix_activated[k-1]/θ
+///   B_µ(k) = LB order[0..k),   Δ̂(B_µ(k)) = n·lb_prefix_activated[k-1]/θ
+/// (prefixes clamp to the orders' lengths). Counts, not doubles, are stored,
+/// and Δ̂ is evaluated by the same expression a from-scratch
+/// SelectGreedyDelta(k) / EstimateDelta computes, so answers are
+/// bit-identical to the per-query computation they replace.
+struct DeltaTable {
+  /// NodeSelection's Δ̂ greedy order at the pool budget, PRR-occurrence fill
+  /// included.
+  std::vector<NodeId> order;
+  /// Samples activated by order[0..j]; fill entries repeat the count after
+  /// the last greedy pick.
+  std::vector<uint64_t> prefix_activated;
+  /// Samples activated by the first j+1 nodes of the cached LB order, for
+  /// every j below the pool budget; entries past the LB order's length
+  /// (it stops early once μ̂ saturates) repeat its last count and are never
+  /// read.
+  std::vector<uint64_t> lb_prefix_activated;
+};
+
 /// Shared machinery behind PRR-Boost and PRR-Boost-LB. Exposed so the
 /// experiment harness can reuse the sampled pool (e.g. to evaluate the
 /// sandwich ratio μ(B)/Δ_S(B) on perturbed boost sets, Fig. 7/9/12).
@@ -132,32 +158,35 @@ class PrrBoostEngine {
   void EnsureSampled();
 
   /// Makes the engine ready for concurrent const Solve() calls: samples the
-  /// pool (if needed), builds every lazily-constructed read-only index, and
-  /// caches the LB greedy order. Idempotent. After Prepare() the engine's
-  /// query surface is strictly read-only, which is the thread-safety
-  /// contract Solve() relies on.
+  /// pool (if needed), builds every lazily-constructed read-only index,
+  /// caches the LB greedy order and, on a full pool, builds the DeltaTable
+  /// (one Δ̂ greedy at the pool budget plus one incremental pass over the LB
+  /// order). Idempotent; a table adopted from a snapshot is not rebuilt.
+  /// After Prepare() the engine's query surface is strictly read-only,
+  /// which is the thread-safety contract Solve() relies on.
   void Prepare();
   /// Whether Prepare() has run (a snapshot-adopted pool still needs it).
   bool serving_ready() const { return serving_ready_; }
 
   /// Answers the k-boosting problem for any budget k ≤ options.k on the
-  /// already-sampled pool — selection only, no resampling. LB answers are
-  /// prefix slices of one cached greedy order (greedy on the submodular μ̂
-  /// yields nested solutions); full mode re-runs only the Δ̂ selection.
-  /// The returned result carries pool_budget/pool_reused provenance.
-  /// Serial convenience path: samples lazily, KB_CHECKs the budget, and
-  /// reuses engine-owned scratch — NOT safe to call concurrently.
+  /// already-sampled pool — selection only, no resampling. Every answer is
+  /// a slice of the cached LB order and (full mode) the DeltaTable, both
+  /// built on first use. The returned result carries
+  /// pool_budget/pool_reused provenance. Serial convenience path: samples
+  /// lazily and KB_CHECKs the budget — NOT safe to call concurrently.
   BoostResult SolveForBudget(size_t k);
 
   /// The concurrent serving path: answers `spec` against the prepared pool
-  /// without touching any engine-owned mutable state — all scratch lives in
-  /// `context` (one per in-flight query; null uses call-local scratch). Any
-  /// number of threads may call Solve() simultaneously on one prepared
-  /// engine, with results bit-identical to the serial SolveForBudget loop.
-  /// Fails with FailedPrecondition before Prepare(), InvalidArgument for an
-  /// out-of-range budget/thread count or a full-mode request against an LB
-  /// pool, Cancelled when spec.cancel was raised mid-selection, and
-  /// DeadlineExceeded when spec.deadline_ns passed mid-selection.
+  /// in O(k) without touching any engine-owned mutable state, so any number
+  /// of threads may call Solve() simultaneously on one prepared engine,
+  /// with results bit-identical to the serial SolveForBudget loop.
+  /// `context` is accepted for API stability and unused: the answer tables
+  /// leave no query-time scratch. Fails with FailedPrecondition before
+  /// Prepare(), InvalidArgument for an out-of-range budget/thread count or
+  /// a full-mode request against an LB pool, and Cancelled or
+  /// DeadlineExceeded when spec.cancel / spec.deadline_ns trips at the
+  /// solve's start (polled on entry and again after the kSolveStart fault
+  /// site, so a stall injected there cannot hide a cancel or deadline).
   StatusOr<BoostResult> Solve(const SolveSpec& spec,
                               SolveContext* context = nullptr) const;
 
@@ -188,22 +217,30 @@ class PrrBoostEngine {
   /// The engine must not have sampled yet.
   void AdoptPool(std::unique_ptr<PrrCollection> collection,
                  const PrrSamplerStats& stats, bool samples_capped);
+  /// Pool-snapshot restore of a full pool's DeltaTable, after AdoptPool and
+  /// before Prepare (which then does not rebuild it). Validates the table
+  /// against the pool without any selection work: InvalidArgument for an
+  /// id ≥ n, a seed, a duplicate, length mismatches (an order longer than
+  /// the pool budget, LB counts not exactly the pool budget long),
+  /// decreasing counts or counts above the boostable total.
+  Status AdoptDeltaTable(DeltaTable table);
+  /// The full pool's answer table (valid once Prepare() ran; empty on LB
+  /// pools).
+  const DeltaTable& delta_table() const { return delta_table_; }
 
  private:
-  /// The cached NodeSelectionLB greedy order at the full pool budget; every
-  /// smaller budget's LB answer is a prefix of it.
-  const PrrCollection::LbResult& LbGreedyOrder();
+  /// Caches the NodeSelectionLB greedy order at the pool budget (every
+  /// smaller budget's LB answer is a prefix of it) and, on a full pool,
+  /// builds the DeltaTable unless one was built or adopted already.
+  /// Requires a sampled pool.
+  void BuildAnswerTables();
 
-  /// The one selection core both solve paths share. Requires a sampled pool
-  /// and a cached LB order; reads them const. `lb_answer` selects the
+  /// The one answer core both solve paths share: prefix slices of the LB
+  /// order and (full answers) the DeltaTable. Requires a sampled pool with
+  /// built answer tables; reads them const. `lb_answer` selects the
   /// LB-slice answer (LB pools, or SolveMode::kLbOnly on a full pool).
-  /// `stop` (may be null) carries the request's cancel flag and deadline;
-  /// when it trips, the partial result is returned as-is and the caller
-  /// inspects the token for the reason. Timing/provenance fields are left
-  /// for the caller.
-  BoostResult SolvePrepared(size_t k, bool lb_answer, int num_threads,
-                            ShardedEvalState* eval_state,
-                            StopToken* stop) const;
+  /// Timing/provenance fields are left for the caller.
+  BoostResult SolvePrepared(size_t k, bool lb_answer) const;
 
   const DirectedGraph& graph_;
   std::vector<NodeId> seeds_;
@@ -218,9 +255,8 @@ class PrrBoostEngine {
   PrrSamplerStats stats_;
   bool lb_order_ready_ = false;
   PrrCollection::LbResult lb_order_;  // greedy order at options_.k
-  // Scratch for the serial SolveForBudget path (kept warm across a sweep);
-  // concurrent Solve() calls bring their own SolveContext instead.
-  SolveContext serial_context_;
+  bool delta_table_ready_ = false;
+  DeltaTable delta_table_;  // full pools only
 };
 
 /// PRR-Boost (Algorithm 2): sandwich approximation over {B_µ, B_Δ}.

@@ -5,7 +5,6 @@
 
 #include "src/select/greedy.h"
 #include "src/sim/boost_model.h"
-#include "src/util/fault.h"
 #include "src/util/thread_pool.h"
 
 namespace kboost {
@@ -291,10 +290,9 @@ class DeltaOracle final : public SelectionOracle {
  public:
   DeltaOracle(const PrrCollection& collection,
               const std::vector<uint8_t>& excluded, int num_threads,
-              ShardedEvalState* state, StopToken* stop)
+              ShardedEvalState* state)
       : collection_(collection),
         excluded_(excluded),
-        stop_(stop),
         threads_(std::max(1, num_threads)),
         n_(collection.num_graph_nodes()),
         boosted_(n_, 0),
@@ -358,19 +356,6 @@ class DeltaOracle final : public SelectionOracle {
     ParallelFor(
         pick_prefix_[num_shards], threads_,
         [&](size_t gi, int t) {
-          // Deadline/cancel polling inside the pick: a single pick's fan-out
-          // can span the whole pool (today the only uninterruptible stretch
-          // of a solve), so each worker re-polls the token every
-          // kStopStride items and drains — not skipping mid-item, so a
-          // graph's bitmaps are never left torn — once it tripped. The
-          // abandoned gain table is discarded by the caller, never served.
-          if (stop_ != nullptr) {
-            if (stop_->stopped()) return;
-            if (gi % kStopStride == 0) {
-              MaybeInjectFaultDelay(FaultSite::kPickStride);
-              if (stop_->ShouldStop()) return;
-            }
-          }
           size_t s = 0;
           while (gi >= pick_prefix_[s + 1]) ++s;
           const size_t i = gi - pick_prefix_[s];
@@ -442,18 +427,15 @@ class DeltaOracle final : public SelectionOracle {
       }
       worker_events_[t].clear();
     }
+    commit_activated_.push_back(activated_);
   }
 
   size_t activated() const { return activated_; }
+  /// activated() after each Commit so far, in commit order.
+  std::vector<uint64_t>& commit_activated() { return commit_activated_; }
   std::vector<uint8_t>& boosted() { return boosted_; }
 
  private:
-  /// Items between full stop-token polls in the per-pick scan. Small enough
-  /// that even tiny PRR-graphs (~3 nodes on the paper's workloads) bound the
-  /// time between polls to microseconds; large enough that the clock read
-  /// (a vDSO call) stays noise.
-  static constexpr size_t kStopStride = 32;
-
   struct GainEvent {
     NodeId node;
     int32_t delta;
@@ -488,7 +470,6 @@ class DeltaOracle final : public SelectionOracle {
 
   const PrrCollection& collection_;
   const std::vector<uint8_t>& excluded_;
-  StopToken* stop_;
   const int threads_;
   const size_t n_;
   std::vector<uint8_t> boosted_;
@@ -514,35 +495,29 @@ class DeltaOracle final : public SelectionOracle {
   std::vector<std::vector<GainEvent>> worker_events_;
   std::vector<size_t> worker_activated_;
   size_t activated_ = 0;
+  std::vector<uint64_t> commit_activated_;
 };
 
 }  // namespace
 
 PrrCollection::DeltaResult PrrCollection::SelectGreedyDelta(
     size_t k, const std::vector<uint8_t>& excluded, int num_threads,
-    ShardedEvalState* eval_state, StopToken* stop) const {
+    ShardedEvalState* eval_state) const {
   DeltaResult result;
   if (k == 0 || num_samples() == 0) return result;
   EnsureGraphIndex(num_threads);
 
-  // Callers that serve queries concurrently pass per-query eval state (from
-  // their SolveContext); the call-local fallback keeps one-shot callers
-  // correct at the cost of rebuilding the bitmap arenas.
+  // Callers that run selections concurrently pass per-call eval state; the
+  // call-local fallback keeps one-shot callers correct at the cost of
+  // rebuilding the bitmap arenas.
   ShardedEvalState local_state;
   DeltaOracle oracle(*this, excluded, num_threads,
-                     eval_state != nullptr ? eval_state : &local_state, stop);
-  GreedyResult greedy = RunLazyGreedy(oracle, k, &excluded, stop);
+                     eval_state != nullptr ? eval_state : &local_state);
+  GreedyResult greedy = RunLazyGreedy(oracle, k, &excluded);
   result.nodes = std::move(greedy.selected);
   result.pick_gains = std::move(greedy.gains);
   result.activated_samples = oracle.activated();
-  result.cancelled = greedy.cancelled;
-  result.deadline_exceeded = greedy.deadline_exceeded;
-  if (result.cancelled || result.deadline_exceeded) {
-    result.delta_hat = static_cast<double>(num_graph_nodes_) *
-                       static_cast<double>(result.activated_samples) /
-                       static_cast<double>(num_samples());
-    return result;
-  }
+  result.prefix_activated = std::move(oracle.commit_activated());
 
   // Budget left but no single-node gains: fall back to PRR-occurrence
   // counts (nodes present in many boostable PRR-graphs are the best
@@ -566,13 +541,30 @@ PrrCollection::DeltaResult PrrCollection::SelectGreedyDelta(
       if (result.nodes.size() >= k) break;
       boosted[v] = 1;
       result.nodes.push_back(v);
+      result.prefix_activated.push_back(result.activated_samples);
     }
   }
 
-  result.delta_hat = static_cast<double>(num_graph_nodes_) *
-                     static_cast<double>(result.activated_samples) /
-                     static_cast<double>(num_samples());
+  result.delta_hat = DeltaHat(result.activated_samples);
   return result;
+}
+
+std::vector<uint64_t> PrrCollection::PrefixActivated(
+    std::span<const NodeId> order, const std::vector<uint8_t>& excluded,
+    int num_threads) const {
+  if (order.empty() || num_samples() == 0) {
+    return std::vector<uint64_t>(order.size(), 0);
+  }
+  EnsureGraphIndex(num_threads);
+  ShardedEvalState state;
+  DeltaOracle oracle(*this, excluded, num_threads, &state);
+  std::vector<NodeId> touched;
+  for (const NodeId v : order) {
+    KB_CHECK(v < num_graph_nodes_);
+    touched.clear();
+    oracle.Commit(v, &touched);
+  }
+  return std::move(oracle.commit_activated());
 }
 
 double PrrCollection::EstimateDelta(const std::vector<NodeId>& boost_set,
@@ -589,9 +581,7 @@ double PrrCollection::EstimateDelta(const std::vector<NodeId>& boost_set,
   for (const PrrStore& store : stores_) {
     activated += batch.CountActivated(store, boosted.data(), num_threads);
   }
-  return static_cast<double>(num_graph_nodes_) *
-         static_cast<double>(activated) /
-         static_cast<double>(num_samples());
+  return DeltaHat(activated);
 }
 
 double PrrCollection::EstimateMu(const std::vector<NodeId>& boost_set) const {

@@ -144,25 +144,46 @@ class PrrCollection {
   /// serial loop — provided each call brings its own eval state and the
   /// lazily-built indexes were warmed first (WarmIndexes(), done by
   /// BoostSession::Prepare). A null `eval_state` uses call-local state
-  /// (correct, but re-allocates the bitmap arenas every call). `stop`, if
-  /// non-null, is polled between greedy rounds AND every bounded stride of
-  /// the per-pick re-evaluation scan — a single huge pick stops promptly on
-  /// cancellation or a passed deadline; the partial result carries
-  /// `cancelled`/`deadline_exceeded` and must be discarded, not served.
+  /// (correct, but re-allocates the bitmap arenas every call). k is only the
+  /// greedy's loop bound and the fill order ignores it, so the answer at k
+  /// is the first k entries of the answer at any larger budget.
   struct DeltaResult {
     std::vector<NodeId> nodes;
     /// Marginal Δ̂ gain (in covered samples) of each greedy pick, in
     /// selection order; fallback-filled nodes contribute no entries.
     std::vector<uint64_t> pick_gains;
+    /// Samples activated by nodes[0..i] for each i; fallback-filled entries
+    /// repeat the count after the last greedy pick (they are never
+    /// evaluated, as in delta_hat).
+    std::vector<uint64_t> prefix_activated;
     size_t activated_samples = 0;
     double delta_hat = 0.0;
-    bool cancelled = false;
-    bool deadline_exceeded = false;
   };
   DeltaResult SelectGreedyDelta(size_t k, const std::vector<uint8_t>& excluded,
                                 int num_threads = 1,
-                                ShardedEvalState* eval_state = nullptr,
-                                StopToken* stop = nullptr) const;
+                                ShardedEvalState* eval_state = nullptr) const;
+
+  /// Samples activated by every prefix of `order` — entry i counts the
+  /// PRR-graphs order[0..i] activates — in one incremental pass: the nodes
+  /// are committed one at a time into the same evaluation engine the Δ̂
+  /// greedy uses, so the whole table costs one greedy-sized pass instead of
+  /// |order| EstimateDelta calls. DeltaHat(entry i) equals
+  /// EstimateDelta(order[0..i]) exactly. Full mode only; `order` must hold
+  /// distinct, non-excluded node ids.
+  std::vector<uint64_t> PrefixActivated(std::span<const NodeId> order,
+                                        const std::vector<uint8_t>& excluded,
+                                        int num_threads = 1) const;
+
+  /// Δ̂ of a boost set that activates `activated` of the θ samples:
+  /// n·activated/θ (0 on an empty pool) — the one expression every Δ̂
+  /// estimate in the library evaluates, so table answers are bit-identical
+  /// to recomputed ones.
+  double DeltaHat(uint64_t activated) const {
+    if (num_samples() == 0) return 0.0;
+    return static_cast<double>(num_graph_nodes_) *
+           static_cast<double>(activated) /
+           static_cast<double>(num_samples());
+  }
 
   /// Δ̂_R(B) for an arbitrary boost set (full mode only).
   double EstimateDelta(const std::vector<NodeId>& boost_set,

@@ -5,23 +5,15 @@
 
 namespace kboost {
 
-/// The query-time mutable state of one in-flight boost query. A prepared
-/// pool (sampled PrrCollection, warmed inverted indexes, cached LB greedy
-/// order) is strictly read-only at query time; everything a solve scribbles
-/// on lives either in oracle-local scratch created per call (the greedy
-/// heap, the gain table, per-worker evaluator scratch) or here — the
-/// incremental evaluation engine's fwd/bwd/crit bitmap arenas (one
-/// PrrEvalState per pool shard), which are the one piece worth keeping warm
-/// across queries.
-///
-/// Concurrency contract: one SolveContext per in-flight query. N threads
-/// may solve different budgets/modes against one shared prepared pool
-/// simultaneously by bringing one context each; the results are
-/// bit-identical to the serial loop. Reusing a context across *sequential*
-/// queries on the same pool keeps its allocations (the eval-state arenas are
-/// re-zeroed, not re-allocated, while the shard generations are unchanged);
-/// a context carried across a pool hot-swap simply re-attaches — even when
-/// the replacement pool has a different shard count.
+/// Per-caller scratch for Δ̂ selection work. A prepared pool answers every
+/// query as a slice of tables Prepare() built, so Solve() accepts a context
+/// for API stability and leaves it untouched. Callers that run
+/// PrrCollection::SelectGreedyDelta themselves (the paper-figure benches,
+/// replay harnesses) can pass `eval_state` to keep the incremental
+/// evaluation engine's fwd/bwd/crit bitmap arenas (one PrrEvalState per pool
+/// shard) warm across calls: one context per concurrent caller, reused
+/// across sequential calls — the arenas are re-zeroed, not re-allocated,
+/// while the shard generations are unchanged.
 struct SolveContext {
   ShardedEvalState eval_state;
 };

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -31,10 +32,11 @@ constexpr char kMagic[8] = {'K', 'B', 'P', 'R', 'R', 'P', 'O', 'L'};
 /// pool-level coverage section (the critical sets translated to global ids,
 /// shard-major; present on nop-coded snapshots only), each independently
 /// codec-coded — so a nop-coded snapshot is servable in place from an mmap,
-/// coverage pool included. Versions 1 and 2 were stream formats; they are
-/// retired and refused.
-constexpr uint32_t kVersion = 3;
-constexpr uint32_t kMinVersion = 3;
+/// coverage pool included — then the answer table section (the pool's
+/// DeltaTable, always nop-coded). Versions 1 and 2 were stream formats and
+/// version 3 had no answer table; all three are refused.
+constexpr uint32_t kVersion = 4;
+constexpr uint32_t kMinVersion = 4;
 
 constexpr uint32_t kFlagLbOnly = 1u << 0;
 constexpr uint32_t kFlagSamplesCapped = 1u << 1;
@@ -50,6 +52,11 @@ constexpr uint64_t kDirEntryBytes = 8 + kNumSections * 32;
 /// One more section record after the shard entries: the pool-level coverage
 /// node pool. All-zero when absent (compressed snapshots derive it on load).
 constexpr uint64_t kCoverageEntryBytes = 32;
+/// The last directory record: the answer table section, laid out as u64
+/// order length L, u64 LB length L_lb, u32 order[L], u64 prefix counts[L],
+/// u64 LB prefix counts[L_lb] (read with memcpy; no alignment assumed).
+constexpr uint64_t kTableEntryBytes = 32;
+constexpr uint64_t kTableHeadBytes = 16;
 
 /// Fixed-size snapshot header. Every field is written explicitly (no struct
 /// dump), so the on-disk layout is independent of compiler padding.
@@ -294,11 +301,13 @@ bool CoverageAbsent(const SectionEntry& e) {
 }
 
 /// Structural validation of a section directory against the mapped file
-/// length: every shard block plus the trailing pool-level coverage section
-/// (when present, it must follow the shard regions and hold exactly as many
-/// values as the shard critical sections combined).
+/// length: every shard block, the pool-level coverage section (when
+/// present, it must follow the shard regions and hold exactly as many
+/// values as the shard critical sections combined), then the nop-coded
+/// answer table section, which every full-mode snapshot carries.
 Status ValidateDirectory(const std::vector<ShardDir>& dirs,
-                         const SectionEntry& coverage, uint64_t dir_end,
+                         const SectionEntry& coverage,
+                         const SectionEntry& table, uint64_t dir_end,
                          uint64_t file_size, const std::string& path) {
   uint64_t prev_end = dir_end;
   for (size_t s = 0; s < dirs.size(); ++s) {
@@ -341,6 +350,46 @@ Status ValidateDirectory(const std::vector<ShardDir>& dirs,
           path);
     }
   }
+  if (Status e = ValidateSectionEntry(table, "the answer table section",
+                                      file_size, &prev_end, path);
+      !e.ok()) {
+    return e;
+  }
+  if (table.codec != static_cast<uint32_t>(SnapshotCodec::kNop) ||
+      table.raw_bytes < kTableHeadBytes) {
+    return Status::InvalidArgument("snapshot has no answer table section: " +
+                                   path);
+  }
+  return Status::Ok();
+}
+
+/// Copies the answer table out of its (validated, in-bounds) section. The
+/// two declared lengths must account for the section's bytes exactly; the
+/// contents are validated against the pool by
+/// PrrBoostEngine::AdoptDeltaTable.
+Status ReadDeltaTable(const char* base, const SectionEntry& e,
+                      const std::string& path, DeltaTable* table) {
+  const char* p = base + e.offset;
+  const uint64_t order_len = ReadU64At(p);
+  const uint64_t lb_len = ReadU64At(p + 8);
+  const uint64_t body = e.raw_bytes - kTableHeadBytes;
+  constexpr uint64_t kOrderEntryBytes = sizeof(NodeId) + sizeof(uint64_t);
+  if (order_len > body / kOrderEntryBytes ||
+      lb_len != (body - order_len * kOrderEntryBytes) / sizeof(uint64_t) ||
+      (body - order_len * kOrderEntryBytes) % sizeof(uint64_t) != 0) {
+    return Status::InvalidArgument(
+        "answer table lengths disagree with its section size: " + path);
+  }
+  p += kTableHeadBytes;
+  const auto copy_out = [&p](auto* values, uint64_t count) {
+    values->resize(count);
+    const size_t bytes = count * sizeof((*values)[0]);
+    if (bytes > 0) std::memcpy(values->data(), p, bytes);
+    p += bytes;
+  };
+  copy_out(&table->order, order_len);
+  copy_out(&table->prefix_activated, order_len);
+  copy_out(&table->lb_prefix_activated, lb_len);
   return Status::Ok();
 }
 
@@ -434,9 +483,11 @@ uint64_t WriteSnapshot(std::ostream& out, const BoostSession& session,
   // string staging — the nop path writes the arena spans verbatim; a
   // compressing codec stages one section at a time), then, for nop-coded
   // (mmap-servable) snapshots, the pool-level coverage section, then the
-  // directory backpatched with the final offsets and sizes.
+  // answer table, then the directory backpatched with the final offsets and
+  // sizes.
   const size_t num_shards = pool.num_shards();
-  const uint64_t dir_bytes = num_shards * kDirEntryBytes + kCoverageEntryBytes;
+  const uint64_t dir_bytes =
+      num_shards * kDirEntryBytes + kCoverageEntryBytes + kTableEntryBytes;
   WriteZeros(out, dir_bytes);
   uint64_t pos = h.dir_offset + dir_bytes;
 
@@ -531,6 +582,35 @@ uint64_t WriteSnapshot(std::ostream& out, const BoostSession& session,
     pos += coverage_entry.stored_bytes;
   }
 
+  // The answer table, nop-coded on every snapshot: the warm start copies
+  // it (a few KiB) instead of re-running the Δ̂ greedy.
+  const DeltaTable& table = engine.delta_table();
+  SectionEntry table_entry;
+  {
+    const uint64_t block_begin = AlignUp(pos, kBlockAlign);
+    WriteZeros(out, block_begin - pos);
+    pos = block_begin;
+    const uint64_t order_len = table.order.size();
+    const uint64_t lb_len = table.lb_prefix_activated.size();
+    WritePod(out, order_len);
+    WritePod(out, lb_len);
+    const auto write_span = [&out](const auto& values) {
+      out.write(reinterpret_cast<const char*>(values.data()),
+                static_cast<std::streamsize>(values.size() *
+                                             sizeof(values[0])));
+    };
+    write_span(table.order);
+    write_span(table.prefix_activated);
+    write_span(table.lb_prefix_activated);
+    table_entry.offset = pos;
+    table_entry.raw_bytes = kTableHeadBytes +
+                            order_len * (sizeof(NodeId) + sizeof(uint64_t)) +
+                            lb_len * sizeof(uint64_t);
+    table_entry.stored_bytes = table_entry.raw_bytes;
+    table_entry.codec = static_cast<uint32_t>(SnapshotCodec::kNop);
+    pos += table_entry.stored_bytes;
+  }
+
   out.seekp(static_cast<std::streamoff>(h.dir_offset));
   for (const ShardDir& dir : dirs) {
     WritePod(out, dir.num_graphs);
@@ -542,11 +622,13 @@ uint64_t WriteSnapshot(std::ostream& out, const BoostSession& session,
       WritePod(out, e.reserved);
     }
   }
-  WritePod(out, coverage_entry.offset);
-  WritePod(out, coverage_entry.stored_bytes);
-  WritePod(out, coverage_entry.raw_bytes);
-  WritePod(out, coverage_entry.codec);
-  WritePod(out, coverage_entry.reserved);
+  for (const SectionEntry& e : {coverage_entry, table_entry}) {
+    WritePod(out, e.offset);
+    WritePod(out, e.stored_bytes);
+    WritePod(out, e.raw_bytes);
+    WritePod(out, e.codec);
+    WritePod(out, e.reserved);
+  }
   return pos;
 }
 
@@ -608,7 +690,7 @@ StatusOr<std::shared_ptr<SnapshotMapping>> SnapshotMapping::Open(
 StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
                                           const std::string& path,
                                           const PoolSaveOptions& options) {
-  if (!session.prepared()) {
+  if (!session.serving_ready()) {
     return Status::InvalidArgument(
         "session pool not prepared; call Prepare() before saving");
   }
@@ -724,6 +806,7 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
         "injected fault: allocation pressure restoring pool: " + path);
   }
   std::shared_ptr<SnapshotMapping> mapping;
+  DeltaTable table;  // full mode: read after the section directory
   auto pool = std::make_unique<PrrCollection>(
       graph.num_nodes(), static_cast<int>(h.num_shards));
   if (lb_only) {
@@ -773,40 +856,55 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
     const char* base = mapping->data();
     const uint64_t file_size = mapping->size();
 
+    // The header and seeds came through the first open; a save that renamed
+    // another snapshot over `path` since then would pair them with a
+    // different body (and answer table). Both opens must have seen the same
+    // bytes; a mismatch is transient — a retry reads one file consistently.
+    std::ostringstream parsed;
+    WriteHeader(parsed, h);
+    parsed.write(reinterpret_cast<const char*>(seeds.data()),
+                 static_cast<std::streamsize>(seeds.size() * sizeof(NodeId)));
+    const std::string prefix = std::move(parsed).str();
+    if (file_size < prefix.size() ||
+        std::memcmp(base, prefix.data(), prefix.size()) != 0) {
+      return Status::IoError("snapshot was replaced while loading: " + path);
+    }
+
     const uint64_t num_shards = h.num_shards;
     const uint64_t dir_bytes =
-        num_shards * kDirEntryBytes + kCoverageEntryBytes;
+        num_shards * kDirEntryBytes + kCoverageEntryBytes + kTableEntryBytes;
     const uint64_t seeds_end = kHeaderBytes + h.num_seeds * sizeof(NodeId);
     if (h.dir_offset < seeds_end || h.dir_offset > file_size ||
         dir_bytes > file_size - h.dir_offset) {
       return Status::InvalidArgument("snapshot directory out of bounds: " +
                                      path);
     }
-    std::vector<ShardDir> dirs(num_shards);
     const char* p = base + h.dir_offset;
+    const auto read_entry = [&p] {
+      SectionEntry e;
+      e.offset = ReadU64At(p);
+      e.stored_bytes = ReadU64At(p + 8);
+      e.raw_bytes = ReadU64At(p + 16);
+      e.codec = ReadU32At(p + 24);
+      e.reserved = ReadU32At(p + 28);
+      p += 32;
+      return e;
+    };
+    std::vector<ShardDir> dirs(num_shards);
     for (uint64_t s = 0; s < num_shards; ++s) {
       dirs[s].num_graphs = ReadU64At(p);
       p += 8;
-      for (size_t i = 0; i < kNumSections; ++i) {
-        SectionEntry& e = dirs[s].sections[i];
-        e.offset = ReadU64At(p);
-        e.stored_bytes = ReadU64At(p + 8);
-        e.raw_bytes = ReadU64At(p + 16);
-        e.codec = ReadU32At(p + 24);
-        e.reserved = ReadU32At(p + 28);
-        p += 32;
-      }
+      for (SectionEntry& e : dirs[s].sections) e = read_entry();
     }
-    SectionEntry coverage;
-    coverage.offset = ReadU64At(p);
-    coverage.stored_bytes = ReadU64At(p + 8);
-    coverage.raw_bytes = ReadU64At(p + 16);
-    coverage.codec = ReadU32At(p + 24);
-    coverage.reserved = ReadU32At(p + 28);
-    Status dir_status = ValidateDirectory(dirs, coverage,
+    const SectionEntry coverage = read_entry();
+    const SectionEntry table_entry = read_entry();
+    Status dir_status = ValidateDirectory(dirs, coverage, table_entry,
                                           h.dir_offset + dir_bytes,
                                           file_size, path);
     if (!dir_status.ok()) return dir_status;
+    if (Status t = ReadDeltaTable(base, table_entry, path, &table); !t.ok()) {
+      return t;
+    }
 
     if (options.use_mmap) {
       for (uint64_t s = 0; s < num_shards; ++s) {
@@ -979,6 +1077,13 @@ StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
                                                 boost_options, lb_only);
   session->engine().AdoptPool(std::move(pool), stats,
                               (h.flags & kFlagSamplesCapped) != 0);
+  if (!lb_only) {
+    if (Status t = session->engine().AdoptDeltaTable(std::move(table));
+        !t.ok()) {
+      return Status::InvalidArgument("corrupt answer table in snapshot " +
+                                     path + ": " + t.message());
+    }
+  }
   if (options.use_mmap && mapping != nullptr) {
     session->RetainResource(std::move(mapping));
   }

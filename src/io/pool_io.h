@@ -27,8 +27,13 @@ namespace kboost {
 /// Nop-coded snapshots additionally carry one pool-level coverage section —
 /// the critical sets pre-translated to global ids, shard-major — so the mmap
 /// path binds the greedy-coverage node pool in place too and warm start does
-/// no O(total_critical) re-gather. The header carries format version 3; the
-/// retired versions 1 and 2 are refused with a typed InvalidArgument.
+/// no O(total_critical) re-gather. Every full-mode snapshot ends with the
+/// answer table section: the pool's DeltaTable (the Δ̂ greedy order and the
+/// prefix activation counts of both candidate orders, ~20 bytes per budget
+/// unit), which both load paths validate and copy into the engine, so a
+/// restored pool answers full queries as slices without re-running the Δ̂
+/// greedy. The header carries format version 4; the retired versions 1–3
+/// (3 had no answer table) are refused with a typed InvalidArgument.
 ///
 /// Byte order: headers stamp an endianness marker and the loader rejects
 /// snapshots written on a different-endianness host with a typed Status.
@@ -104,14 +109,17 @@ class SnapshotMapping {
 };
 
 /// Atomically publishes the session's pool at `path` (see Publication
-/// above). The session must be prepared() — call Prepare() first.
+/// above). The session must be serving_ready() — call Prepare() first.
 StatusOr<PoolSaveResult> SavePoolSnapshot(const BoostSession& session,
                                           const std::string& path,
                                           const PoolSaveOptions& options = {});
 
 /// Restores a session from a snapshot taken against a graph with the same
 /// node count. Seeds and BoostOptions come from the snapshot; the returned
-/// session is prepared() and never resamples.
+/// session is prepared() and never resamples. The header and seeds are read
+/// through one open and the full-mode body through a mapping; if a save
+/// renamed another snapshot over `path` between the two, the load fails
+/// with a transient IoError rather than pairing mismatched halves.
 StatusOr<std::unique_ptr<BoostSession>> LoadPoolSnapshot(
     const DirectedGraph& graph, const std::string& path,
     const PoolLoadOptions& options = {});

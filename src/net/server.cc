@@ -682,8 +682,6 @@ void KboostServer::CompleteWork(const std::shared_ptr<Connection>& conn) {
 }
 
 void KboostServer::WorkerLoop() {
-  // One context per worker keeps selection scratch warm across requests.
-  SolveContext context;
   while (true) {
     WorkItem item;
     {
@@ -720,7 +718,7 @@ void KboostServer::WorkerLoop() {
         request.num_threads = static_cast<int>(item.query.num_threads);
         request.deadline_ms = item.query.deadline_ms;
         request.cancel = &drain_cancel_;
-        StatusOr<BoostResponse> solved = service_->Solve(request, &context);
+        StatusOr<BoostResponse> solved = service_->Solve(request);
         if (solved.ok()) {
           const BoostResponse& response = solved.value();
           reply.status = Status::Ok();

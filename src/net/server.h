@@ -25,7 +25,6 @@ struct ServerOptions {
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   uint16_t port = 0;
   /// Worker threads draining the dispatch queue into BoostService::Solve.
-  /// Each worker keeps its own SolveContext warm across requests.
   int num_workers = 2;
   /// Bounded dispatch queue between the event loop and the workers. A query
   /// arriving while the queue is full is answered immediately with a typed
@@ -191,8 +190,9 @@ class KboostServer {
   // on its OWN thread — so connection/drain state needs no lock and no
   // signal-safety gymnastics. Shutdown then proceeds in one direction:
   //   shutdown_requested_ → BeginDrain() (close acceptor, set draining_) →
-  //   outstanding_ reaches 0 (past drain_deadline_ms, drain_cancel_ trips
-  //   every in-flight StopToken) → stop_workers_ under queue_mutex_ →
+  //   outstanding_ reaches 0 (past drain_deadline_ms, drain_cancel_ is
+  //   raised for every solve still to poll it) → stop_workers_ under
+  //   queue_mutex_ →
   //   workers joined → connections closed → finished_.
   // No step is ever reversed, which is why each flag can be an independent
   // atomic rather than multi-field state under one lock.

@@ -26,21 +26,8 @@ struct EntryLess {
 
 }  // namespace
 
-namespace {
-
-/// Stamps the stop reason into the result; returns true when tripped.
-bool StampStop(const StopToken* stop, GreedyResult* result) {
-  if (stop == nullptr || !stop->stopped()) return false;
-  result->cancelled = stop->cancelled();
-  result->deadline_exceeded = stop->deadline_exceeded();
-  return true;
-}
-
-}  // namespace
-
 GreedyResult RunLazyGreedy(SelectionOracle& oracle, size_t k,
-                           const std::vector<uint8_t>* excluded,
-                           StopToken* stop) {
+                           const std::vector<uint8_t>* excluded) {
   GreedyResult result;
   const size_t n = oracle.num_candidates();
   if (k == 0 || n == 0) return result;
@@ -57,10 +44,6 @@ GreedyResult RunLazyGreedy(SelectionOracle& oracle, size_t k,
   std::vector<uint8_t> chosen(n, 0);
   std::vector<NodeId> touched;
   while (result.selected.size() < k && !heap.empty()) {
-    if (stop != nullptr && stop->ShouldStop()) {
-      StampStop(stop, &result);
-      break;
-    }
     const Entry top = heap.top();
     heap.pop();
     if (chosen[top.node]) continue;
@@ -77,11 +60,6 @@ GreedyResult RunLazyGreedy(SelectionOracle& oracle, size_t k,
     result.total_gain += top.gain;
     touched.clear();
     oracle.Commit(top.node, &touched);
-    // A push-model oracle's Commit fans out over many graphs and polls the
-    // token every stride; when it tripped mid-pick its gain table may be
-    // partially settled, so stop HERE — the partial result is discarded by
-    // the serving layer, never served.
-    if (StampStop(stop, &result)) break;
     ++epoch;
     for (NodeId v : touched) {
       if (chosen[v]) continue;

@@ -1,7 +1,6 @@
 #ifndef KBOOST_SELECT_GREEDY_H_
 #define KBOOST_SELECT_GREEDY_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <vector>
@@ -18,69 +17,6 @@ inline int64_t SteadyNowNanos() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-/// Cooperative stop signal shared by a solve's greedy loop and its oracle's
-/// parallel re-evaluation workers: one request's cancel flag and absolute
-/// deadline, plus the tripped state and its reason. The greedy loop polls
-/// ShouldStop() once per round; a push-model oracle whose single Commit can
-/// be huge (the Δ̂ re-evaluation fan-out) polls it again every bounded stride
-/// of its per-pick scan, so even a one-pick solve stops promptly. Once
-/// tripped, a token stays tripped — workers observe it with one relaxed load
-/// (stopped()) and drain without doing further work.
-///
-/// The first reason to trip wins and is stable; reading the clock costs a
-/// vDSO call, so per-item code should gate ShouldStop() behind a stride and
-/// use stopped() in between.
-class StopToken {
- public:
-  StopToken() = default;
-  /// `cancel` may be null; `deadline_ns` is absolute SteadyNowNanos() time,
-  /// 0 = no deadline. The flag must outlive the token.
-  StopToken(const std::atomic<bool>* cancel, int64_t deadline_ns)
-      : cancel_(cancel), deadline_ns_(deadline_ns) {}
-
-  /// Full poll: the tripped flag, then the cancel flag, then the clock.
-  bool ShouldStop() {
-    if (stopped()) return true;
-    if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
-      Trip(kCancelled);
-      return true;
-    }
-    if (deadline_ns_ > 0 && SteadyNowNanos() >= deadline_ns_) {
-      Trip(kDeadline);
-      return true;
-    }
-    return false;
-  }
-
-  /// Already tripped? One relaxed load — cheap enough for per-item checks.
-  bool stopped() const { return why_.load(std::memory_order_relaxed) != 0; }
-  bool cancelled() const {
-    return why_.load(std::memory_order_relaxed) == kCancelled;
-  }
-  bool deadline_exceeded() const {
-    return why_.load(std::memory_order_relaxed) == kDeadline;
-  }
-  bool has_deadline() const { return deadline_ns_ > 0; }
-
- private:
-  static constexpr int kCancelled = 1;
-  static constexpr int kDeadline = 2;
-
-  // Mutex-free by design: the token is one sticky tri-state (why_) plus two
-  // immutable-after-construction fields, shared between the greedy loop and
-  // the oracle's ParallelFor workers. The CAS in Trip() is the only write
-  // that races, and "first reason wins" is exactly its semantics — nothing
-  // here guards other data, so there is no capability to annotate.
-  void Trip(int reason) {
-    int expected = 0;  // first reason wins; later trips keep it stable
-    why_.compare_exchange_strong(expected, reason, std::memory_order_relaxed);
-  }
-
-  const std::atomic<bool>* cancel_ = nullptr;
-  int64_t deadline_ns_ = 0;
-  std::atomic<int> why_{0};
-};
 
 /// The coverage-oracle concept behind every greedy maximization in the
 /// library: a candidate universe [0, num_candidates) where each candidate has
@@ -128,14 +64,6 @@ struct GreedyResult {
   std::vector<NodeId> selected;
   std::vector<uint64_t> gains;  ///< marginal gain of each pick, same order
   uint64_t total_gain = 0;
-  /// Set when the loop stopped because the stop token tripped on the
-  /// request's cancel flag; `selected` holds the picks committed before the
-  /// trip was observed (the last pick may be partially committed when the
-  /// oracle tripped the token mid-Commit — callers discard on stop).
-  bool cancelled = false;
-  /// Set when the loop stopped because the stop token's deadline passed;
-  /// same partial-result caveats as `cancelled`.
-  bool deadline_exceeded = false;
 };
 
 /// The one lazy-greedy (CELF) selection loop: up to k rounds, each committing
@@ -144,13 +72,12 @@ struct GreedyResult {
 /// heap insertion order (and hence of oracle-internal thread counts).
 /// Candidates flagged in `excluded` (n-sized bitmap, may be null) and
 /// candidates with zero gain are never picked; the loop stops early when no
-/// positive-gain candidate remains. `stop`, if non-null, is polled each loop
-/// iteration AND after every Commit (a push-model oracle may trip it
-/// mid-pick from its parallel scan); when it trips the loop returns the
-/// partial result with `cancelled` or `deadline_exceeded` set.
+/// positive-gain candidate remains. k is only the loop bound, so a run at
+/// budget k makes exactly the first k picks of a run at any larger budget —
+/// for push-model oracles too — which is what lets the Δ̂ answer table serve
+/// every budget as a prefix of one run.
 GreedyResult RunLazyGreedy(SelectionOracle& oracle, size_t k,
-                           const std::vector<uint8_t>* excluded = nullptr,
-                           StopToken* stop = nullptr);
+                           const std::vector<uint8_t>* excluded = nullptr);
 
 }  // namespace kboost
 

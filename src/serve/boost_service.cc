@@ -341,9 +341,8 @@ StatusOr<BoostResponse> BoostService::Solve(const BoostRequest& request,
   }
 
   // Graceful degradation: under pressure, a kAuto request against a full
-  // pool answers from the O(k) LB cached order instead of running the Δ̂
-  // selection. Explicit modes are always honored; LB pools have nothing to
-  // degrade to.
+  // pool answers from the LB cached order instead of the sandwich pick.
+  // Explicit modes are always honored; LB pools have nothing to degrade to.
   SolveSpec spec;
   spec.k = request.k;
   spec.mode = request.mode;

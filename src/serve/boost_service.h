@@ -26,22 +26,22 @@ namespace kboost {
 struct BoostRequest {
   std::string pool;  ///< registered pool name
   size_t k = 0;      ///< budget; must be in [1, pool budget]
-  /// kAuto answers with the pool's native pipeline; kLbOnly downgrades a
-  /// full pool to the O(k) cached-order answer; kFull is rejected against
-  /// LB-only pools. (SolveMode/SolveSpec are defined in src/core.)
+  /// kAuto answers with the pool's native pipeline; kLbOnly answers a full
+  /// pool from the cached μ̂ order alone; kFull is rejected against LB-only
+  /// pools. (SolveMode/SolveSpec are defined in src/core.)
   SolveMode mode = SolveMode::kAuto;
-  /// Worker cap for this query's selection/estimator phases; 0 = the pool's
-  /// configured count.
+  /// Requested worker cap (SolveSpec::num_threads): 0 = the pool's
+  /// configured count; validated, but answers are table slices that run on
+  /// no workers.
   int num_threads = 0;
-  /// Optional cooperative cancellation; polled between greedy rounds AND
-  /// every bounded stride of the per-pick Δ̂ re-evaluation scan, so even a
-  /// one-pick solve cancels promptly. Must outlive the Solve() call.
+  /// Optional cooperative cancellation, polled when the solve starts. Must
+  /// outlive the Solve() call.
   const std::atomic<bool>* cancel = nullptr;
   /// Per-request latency budget in milliseconds, measured from Solve()
   /// entry and covering admission wait AND solve time (one budget, not
   /// two). 0 = the service's Options::default_deadline_ms (which may itself
-  /// be 0 = no deadline). A request that overruns gets DeadlineExceeded;
-  /// its partial selection is discarded, never served.
+  /// be 0 = no deadline). A request whose deadline passes before its solve
+  /// starts gets DeadlineExceeded.
   uint64_t deadline_ms = 0;
 };
 
@@ -71,10 +71,10 @@ struct BoostResponse {
 /// The service exploits the paper's core asymmetry: sampling a PRR-graph
 /// pool is expensive, answering a budget query against it is cheap — a
 /// read-mostly serving workload. Pools are prepared (sampled + indexes
-/// warmed + LB order cached) BEFORE registration and held as
+/// warmed + answer tables built) BEFORE registration and held as
 /// shared_ptr<const BoostSession>, so the query path holds the registry
-/// lock only for the name lookup; the solve itself runs lock-free on the
-/// shared pool with per-query SolveContext scratch. N clients solving
+/// lock only for the name lookup; the solve itself is an O(k) lock-free
+/// slice of the shared pool's answer tables. N clients solving
 /// mixed budgets/modes against one pool get results bit-identical to the
 /// same queries issued serially.
 ///
@@ -209,15 +209,14 @@ class BoostService {
   /// (checked before admission — a typo never consumes a slot);
   /// ResourceExhausted when the admission waiting room is full (the request
   /// is shed without waiting); DeadlineExceeded when the request's deadline
-  /// passes while queued for admission or mid-solve; otherwise exactly the
-  /// statuses of BoostSession::Solve (InvalidArgument, Cancelled). Under
-  /// degradation pressure, kAuto requests against full pools may answer
-  /// from the LB cached order with response.degraded set. Every non-OK
-  /// return is one of these typed statuses — overload never surfaces as a
-  /// crash or an untyped error — and the RAII admission ticket guarantees
-  /// the slot is returned on every path. The overload taking a
-  /// SolveContext lets a client thread keep selection scratch warm across
-  /// its queries; contexts must not be shared between in-flight calls.
+  /// passes while queued for admission or as the solve starts; otherwise
+  /// exactly the statuses of BoostSession::Solve (InvalidArgument,
+  /// Cancelled). Under degradation pressure, kAuto requests against full
+  /// pools may answer from the LB cached order with response.degraded set.
+  /// Every non-OK return is one of these typed statuses — overload never
+  /// surfaces as a crash or an untyped error — and the RAII admission
+  /// ticket guarantees the slot is returned on every path. The overload taking a
+  /// SolveContext is kept for API stability; solves leave it untouched.
   StatusOr<BoostResponse> Solve(const BoostRequest& request) const {
     return Solve(request, nullptr);
   }

@@ -29,17 +29,17 @@ SpreadEstimate EstimateBoostedSpread(const DirectedGraph& graph,
   const std::vector<uint8_t> boosted =
       MakeNodeBitmap(graph.num_nodes(), boost_set);
 
-  std::vector<RunningStat> per_thread(threads);
+  // Index-ordered reduction, as in EstimateSpread: thread-schedule-free.
+  std::vector<size_t> counts(sims);
   std::vector<SimScratch> scratch(threads);
   ParallelFor(sims, threads, [&](size_t i, int t) {
     uint64_t world = options.seed * 0x100000001B3ULL + i;
-    size_t count = SimulateDiffusionOnce(graph, seeds, world, boosted.data(),
-                                         scratch[t], semantics);
-    per_thread[t].Add(static_cast<double>(count));
+    counts[i] = SimulateDiffusionOnce(graph, seeds, world, boosted.data(),
+                                      scratch[t], semantics);
   });
 
   RunningStat total;
-  for (const RunningStat& s : per_thread) total.Merge(s);
+  for (const size_t count : counts) total.Add(static_cast<double>(count));
   return SpreadEstimate{total.mean(), total.stddev(), total.stderr_mean(),
                         total.count()};
 }

@@ -21,8 +21,6 @@ const char* FaultSiteName(FaultSite site) {
       return "alloc_pressure";
     case FaultSite::kSolveStart:
       return "solve_start";
-    case FaultSite::kPickStride:
-      return "pick_stride";
     case FaultSite::kNumSites:
       break;
   }

@@ -18,7 +18,6 @@ enum class FaultSite : int {
   kSnapshotMmap,       ///< mmap()ing a snapshot for zero-copy serving
   kAllocPressure,      ///< large-arena reservation before pool restore
   kSolveStart,         ///< entry of a prepared solve (delay site)
-  kPickStride,         ///< per-stride delay inside the Δ̂ re-evaluation scan
   kNumSites,           ///< sentinel — keep last
 };
 
@@ -113,7 +112,7 @@ inline bool MaybeInjectFault(FaultSite site) {
   return injector.ShouldFail(site);
 }
 
-/// Call-site helper for delay-only sites (kSolveStart, kPickStride).
+/// Call-site helper for delay-only sites (kSolveStart).
 inline void MaybeInjectFaultDelay(FaultSite site) {
   FaultInjector& injector = FaultInjector::Global();
   if (!injector.any_armed()) return;

@@ -19,8 +19,8 @@ enum class StatusCode {
   kFailedPrecondition = 6,
   kCancelled = 7,
   /// A per-request deadline passed before the answer was produced — while
-  /// waiting for an admission slot or mid-selection (the solve paths poll
-  /// cooperatively). The serving layer's "too late" signal.
+  /// waiting for an admission slot or as the solve starts (the solve path
+  /// polls cooperatively). The serving layer's "too late" signal.
   kDeadlineExceeded = 8,
   /// A bounded resource was at capacity and the work was shed rather than
   /// queued unboundedly — admission-control rejections, allocation pressure.

@@ -17,6 +17,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/boost_session.h"
@@ -24,6 +25,8 @@
 #include "src/graph/graph_builder.h"
 #include "src/io/codec.h"
 #include "src/io/pool_io.h"
+#include "src/serve/boost_service.h"
+#include "src/util/fault.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
@@ -485,9 +488,10 @@ TEST_F(V3CorruptionTest, InflatedValueCountIsRejectedNotAllocated) {
 }
 
 TEST_F(V3CorruptionTest, RetiredVersionsAreRefusedTyped) {
-  // Versions 1 and 2 were stream formats this build no longer reads; the
-  // version word alone must refuse them on both load paths.
-  for (uint32_t version : {1u, 2u}) {
+  // Versions 1 and 2 were stream formats and version 3 had no answer
+  // table; this build reads none of them, and the version word alone must
+  // refuse them on both load paths.
+  for (uint32_t version : {1u, 2u, 3u}) {
     SCOPED_TRACE("version " + std::to_string(version));
     PokeU32(&bytes_, kVersionOffset, version);
     ExpectRejected("unsupported pool snapshot version");
@@ -620,6 +624,75 @@ TEST(SnapshotPublishTest, FailedSaveLeavesTargetUntouchedAndNoTempFile) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded.value()->lb_only());
   std::filesystem::remove_all(dir);
+}
+
+/// A save that renames another snapshot over the path after the loader
+/// read the header and seeds, but before it mapped the body, must not pair
+/// one file's header with the other's body (and answer table). The load
+/// fails with a transient IoError; a retry then reads one file
+/// consistently, which BoostService's retry loop does by itself.
+TEST(SnapshotPublishTest, RenameBetweenHeaderReadAndMappingIsTransient) {
+  DirectedGraph g = MakeTestGraph(67);
+  const std::string path = TempPath("kboost_swap_target.bin");
+  const std::string other = TempPath("kboost_swap_source.bin");
+  BoostSession first(g, {0, 1}, MakeOptions(8, 2));
+  BoostSession second(g, {2, 3}, MakeOptions(6, 2));
+  first.Prepare();
+  second.Prepare();
+  ASSERT_NE(first.engine().collection().num_boostable(),
+            second.engine().collection().num_boostable());
+
+  // kAllocPressure sits between the header read and the body mapping; a
+  // stall there while another thread renames `other` over `path` makes the
+  // race deterministic.
+  FaultInjector::Plan stall;
+  stall.delay_micros = 100000;
+  const auto swap_during_stall = [&] {
+    return std::thread([&] {
+      while (FaultInjector::Global().hits(FaultSite::kAllocPressure) == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_EQ(std::rename(other.c_str(), path.c_str()), 0);
+    });
+  };
+
+  for (bool mmap : {false, true}) {
+    SCOPED_TRACE(mmap ? "mmap load" : "owned load");
+    ASSERT_TRUE(SavePoolSnapshot(first, path).ok());
+    ASSERT_TRUE(SavePoolSnapshot(second, other).ok());
+    PoolLoadOptions options;
+    options.use_mmap = mmap;
+    FaultInjector::Global().Arm(FaultSite::kAllocPressure, stall);
+    std::thread swapper = swap_during_stall();
+    StatusOr<std::unique_ptr<BoostSession>> torn =
+        LoadPoolSnapshot(g, path, options);
+    swapper.join();
+    FaultInjector::Global().DisarmAll();
+    ASSERT_FALSE(torn.ok());
+    EXPECT_EQ(torn.status().code(), StatusCode::kIoError)
+        << torn.status().ToString();
+
+    StatusOr<std::unique_ptr<BoostSession>> retried =
+        LoadPoolSnapshot(g, path, options);
+    ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+    EXPECT_EQ(retried.value()->seeds(), second.seeds());
+    ExpectSameAnswers(second, *retried.value(), {1, 3, 6});
+  }
+
+  // Through the service: the retry loop absorbs the torn read.
+  ASSERT_TRUE(SavePoolSnapshot(first, path).ok());
+  ASSERT_TRUE(SavePoolSnapshot(second, other).ok());
+  StatusOr<std::unique_ptr<BoostService>> service = BoostService::Create(g);
+  ASSERT_TRUE(service.ok());
+  FaultInjector::Global().Arm(FaultSite::kAllocPressure, stall);
+  std::thread swapper = swap_during_stall();
+  const Status loaded = service.value()->LoadPool("p", path);
+  swapper.join();
+  FaultInjector::Global().DisarmAll();
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ(service.value()->Stats().pools[0].load_retries, 1u);
+  EXPECT_EQ(service.value()->GetPool("p")->seeds(), second.seeds());
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -186,7 +186,7 @@ TEST(FaultInjectorTest, ProbabilityDecisionsAreSeedDeterministic) {
 TEST(FaultInjectorTest, SiteNamesAreStable) {
   EXPECT_STREQ(FaultSiteName(FaultSite::kSnapshotOpen), "snapshot_open");
   EXPECT_STREQ(FaultSiteName(FaultSite::kSolveStart), "solve_start");
-  EXPECT_STREQ(FaultSiteName(FaultSite::kPickStride), "pick_stride");
+  EXPECT_STREQ(FaultSiteName(FaultSite::kAllocPressure), "alloc_pressure");
 }
 
 TEST(StatusOrTest, DereferenceSugar) {
